@@ -15,7 +15,7 @@ from .attention import (
     row_softmax,
     scaled_scores,
 )
-from .dynamics import DescentConfig, DescentTrace, descend, descend_step, hebbian_update, linear_descent
+from .dynamics import DescentConfig, DescentTrace, descend, linear_descent
 from .energy import (
     EXPONENTIAL,
     LINEAR,
@@ -24,20 +24,17 @@ from .energy import (
     EnergyForm,
     ExpOverflowError,
     alignment_scores,
-    energy,
     f_apply,
     f_prime,
-    grad_regularized,
     grad_unregularized,
     linear_energy,
     linear_grad,
     polynomial,
     reg_coeffs,
     regularized_energy,
-    regularizer,
 )
 from .heads import HeadOutput, HeadSpec, linear_head, multi_head, nonlinear_head, run_head
-from .linalg import ShapeError, as_matrix, axpy, frobenius_inner, frobenius_norm, matmul, transpose
+from .linalg import ShapeError, as_matrix, frobenius_inner, frobenius_norm
 from .rng import GaussianStream
 from .verify import (
     BruteForceEval,

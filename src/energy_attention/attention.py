@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, matmul
+from .linalg import ShapeError
 
 __all__ = [
     "ProjectionWeights",
@@ -83,7 +83,7 @@ def project(x: np.ndarray, w: ProjectionWeights):
     """Token projections (q, k, v) = (x w_q, x w_k, x w_v)."""
     if x.shape[1] != w.d:
         raise ShapeError(f"project: tokens are {x.shape} but weights expect d={w.d}")
-    return matmul(x, w.w_q), matmul(x, w.w_k), matmul(x, w.w_v)
+    return x @ w.w_q, x @ w.w_k, x @ w.w_v
 
 
 def scaled_scores(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
@@ -94,7 +94,7 @@ def scaled_scores(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
         raise ShapeError(
             f"scaled_scores: q {q.shape} and k {k.shape} must both have {d_k} columns"
         )
-    return matmul(q, np.ascontiguousarray(k.T)) / math.sqrt(d_k)
+    return q @ np.ascontiguousarray(k.T) / math.sqrt(d_k)
 
 
 def row_softmax(s: np.ndarray) -> np.ndarray:
@@ -113,7 +113,9 @@ def attention_output(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """AV: row i is the attention-weighted combination of value rows."""
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"attention_output: a must be square, got {a.shape}")
-    return matmul(a, v)
+    if v.shape[0] != a.shape[1]:
+        raise ShapeError(f"attention_output: values {v.shape} do not match a {a.shape}")
+    return a @ v
 
 
 def build_context(x: np.ndarray, w: ProjectionWeights, d_k: int) -> AttentionContext:

@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .attention import ProjectionWeights, build_context
@@ -58,10 +58,6 @@ CHECK_TRIALS = 5
 
 _MATRIX_FILES = (("X", "X.json"), ("W_q", "W_q.json"), ("W_k", "W_k.json"), ("W_v", "W_v.json"))
 
-_CONFIG_KEYS = {
-    "n", "d", "d_k", "d_v", "form", "eta", "t_max", "grad_tol",
-    "clip_norm", "perturb_sigma", "seed", "heads",
-}
 _REQUIRED_KEYS = {"n", "d", "d_k", "d_v", "form", "seed"}
 
 _SWEEP_INT_PARAMS = {"n", "d", "d_k", "d_v", "t_max", "p", "seed"}
@@ -101,20 +97,10 @@ class RunConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
-        if self.perturb_sigma < 0:
-            raise ConfigError(f"perturb_sigma must be >= 0, got {self.perturb_sigma}")
         try:
-            self.descent_config()
+            self.head_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def descent_config(self) -> DescentConfig:
-        return DescentConfig(
-            eta=self.eta,
-            max_iters=self.t_max,
-            grad_tol=self.grad_tol,
-            clip_norm=self.clip_norm,
-        )
 
     def head_spec(self, index: int = 0) -> HeadSpec:
         # noise streams are offset from the run seed so heads stay distinct
@@ -124,7 +110,12 @@ class RunConfig:
             d_k=self.d_k,
             d_v=self.d_v,
             form=self.form,
-            descent=self.descent_config(),
+            descent=DescentConfig(
+                eta=self.eta,
+                max_iters=self.t_max,
+                grad_tol=self.grad_tol,
+                clip_norm=self.clip_norm,
+            ),
             perturb_sigma=self.perturb_sigma,
             perturb_seed=(self.seed + 1 + index) % 2**64,
         )
@@ -133,20 +124,10 @@ class RunConfig:
         form: dict = {"kind": self.form.kind}
         if self.form.kind == "polynomial":
             form["p"] = self.form.p
-        return {
-            "n": self.n,
-            "d": self.d,
-            "d_k": self.d_k,
-            "d_v": self.d_v,
-            "form": form,
-            "eta": self.eta,
-            "t_max": self.t_max,
-            "grad_tol": self.grad_tol,
-            "clip_norm": self.clip_norm,
-            "perturb_sigma": self.perturb_sigma,
-            "seed": self.seed,
-            "heads": self.heads,
-        }
+        return {**asdict(self), "form": form}
+
+
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def _parse_form(obj) -> EnergyForm:
@@ -184,14 +165,7 @@ def load_config(path) -> RunConfig:
     return parse_config(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def generate_inputs(config: RunConfig):
-    """Seeded token and weight matrices, entries N(0, 1/d).
-
-    One Gaussian stream seeded with ``config.seed`` is drawn in the fixed
-    order X, W_q, W_k, W_v, so the same seed reproduces the same problem
-    everywhere.
-    """
-    stream = GaussianStream(config.seed)
+def _draw_inputs(config: RunConfig, stream: GaussianStream):
     scale = 1.0 / math.sqrt(config.d)
     x = stream.matrix(config.n, config.d, scale)
     w_q = stream.matrix(config.d, config.d_k, scale)
@@ -200,15 +174,20 @@ def generate_inputs(config: RunConfig):
     return x, ProjectionWeights(w_q, w_k, w_v)
 
 
+def generate_inputs(config: RunConfig):
+    """Seeded token and weight matrices, entries N(0, 1/d).
+
+    One Gaussian stream seeded with ``config.seed`` is drawn in the fixed
+    order X, W_q, W_k, W_v, so the same seed reproduces the same problem
+    everywhere.
+    """
+    return _draw_inputs(config, GaussianStream(config.seed))
+
+
 def _seeded_instance(config: RunConfig, seed: int):
+    """Context for ``seed``'s problem, plus its stream positioned after W_v."""
     stream = GaussianStream(seed)
-    scale = 1.0 / math.sqrt(config.d)
-    x = stream.matrix(config.n, config.d, scale)
-    w = ProjectionWeights(
-        stream.matrix(config.d, config.d_k, scale),
-        stream.matrix(config.d, config.d_k, scale),
-        stream.matrix(config.d, config.d_v, scale),
-    )
+    x, w = _draw_inputs(config, stream)
     return build_context(x, w, config.d_k), stream
 
 

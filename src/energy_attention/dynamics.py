@@ -22,7 +22,6 @@ from .attention import AttentionContext
 from .energy import (
     EnergyForm,
     ExpOverflowError,
-    grad_regularized,
     linear_energy,
     linear_grad,
     reg_coeffs,
@@ -33,10 +32,8 @@ from .linalg import frobenius_norm
 __all__ = [
     "DescentConfig",
     "DescentTrace",
-    "descend_step",
     "descend",
     "linear_descent",
-    "hebbian_update",
 ]
 
 _DIVERGENCE_WINDOW = 10
@@ -77,23 +74,6 @@ def _clipped(grad: np.ndarray, grad_norm: float, clip_norm: float | None) -> np.
     if clip_norm is not None and grad_norm > clip_norm:
         return grad * (clip_norm / grad_norm)
     return grad
-
-
-def descend_step(
-    form: EnergyForm,
-    ctx: AttentionContext,
-    z: np.ndarray,
-    c: np.ndarray,
-    config: DescentConfig,
-):
-    """One fixed-eta update; returns (z_next, unclipped gradient norm)."""
-    grad = grad_regularized(form, ctx.a, z, ctx.v, c)
-    with np.errstate(over="ignore"):
-        grad_norm = frobenius_norm(grad)
-    if not (np.isfinite(grad).all() and np.isfinite(grad_norm)):
-        raise FloatingPointError("descent gradient is non-finite or overflows in norm")
-    step = _clipped(grad, grad_norm, config.clip_norm)
-    return z - config.eta * step, grad_norm
 
 
 def _descend_loop(
@@ -189,14 +169,3 @@ def linear_descent(ctx: AttentionContext, z0: np.ndarray, config: DescentConfig)
         return linear_energy(z, ctx.a, ctx.v), linear_grad(z, ctx.a, ctx.v)
 
     return _descend_loop(eval_fn, z0, config)
-
-
-def hebbian_update(ctx: AttentionContext, z: np.ndarray, eta: float) -> np.ndarray:
-    """Constant-drift map z + eta * AV, implemented verbatim.
-
-    This rule has no fixed point when AV != 0; ``linear_descent`` is the
-    supported linear dynamics.
-    """
-    if z.shape != ctx.av.shape:
-        raise ValueError(f"state {z.shape} does not match attention output {ctx.av.shape}")
-    return z + eta * ctx.av

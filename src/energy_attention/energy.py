@@ -45,10 +45,7 @@ __all__ = [
     "f_prime",
     "alignment_scores",
     "reg_coeffs",
-    "energy",
-    "regularizer",
     "grad_unregularized",
-    "grad_regularized",
     "regularized_energy",
     "linear_energy",
     "linear_grad",
@@ -179,38 +176,12 @@ def reg_coeffs(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ((a.T @ g) * v).sum(axis=1)
 
 
-def energy(form: EnergyForm, a: np.ndarray, z: np.ndarray, v: np.ndarray) -> float:
-    """Unregularized energy E(Z) = sum_j F(u_j)."""
-    return float(f_apply(form, alignment_scores(a, z, v)).sum())
-
-
-def regularizer(
-    form: EnergyForm, a: np.ndarray, z: np.ndarray, v: np.ndarray, c: np.ndarray
-) -> float:
-    """R(Z) = -sum_j F'(c_j) u_j(Z); linear in Z, so R(0) = 0."""
-    u = alignment_scores(a, z, v)
-    return -float((f_prime(form, c) * u).sum())
-
-
 def grad_unregularized(
     form: EnergyForm, a: np.ndarray, z: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """(grad E)_ik = sum_j F'(u_j) A_ij V_jk."""
     u = alignment_scores(a, z, v)
     return a @ (v * f_prime(form, u)[:, None])
-
-
-def grad_regularized(
-    form: EnergyForm, a: np.ndarray, z: np.ndarray, v: np.ndarray, c: np.ndarray
-) -> np.ndarray:
-    """(grad E_R)_ik = sum_j [F'(u_j) - F'(c_j)] A_ij V_jk.
-
-    At Z = AV the alignment scores equal c, the bracket vanishes term by
-    term, and the gradient is exactly zero.
-    """
-    u = alignment_scores(a, z, v)
-    weights = f_prime(form, u) - f_prime(form, c)
-    return a @ (v * weights[:, None])
 
 
 def regularized_energy(
@@ -225,7 +196,6 @@ def regularized_energy(
     ``c`` may be passed in when precomputed for a fixed (A, V); it is
     recomputed otherwise.
     """
-    _check_state(a, z, v)
     if c is None:
         c = reg_coeffs(a, v)
     u = alignment_scores(a, z, v)

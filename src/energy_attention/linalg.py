@@ -1,9 +1,8 @@
-"""Dense float64 matrix kernel.
+"""Matrix input coercion and Frobenius inner product and norm.
 
 Matrices are 2-D C-contiguous ``numpy.float64`` arrays throughout the
-package. Every operation validates shapes up front, never mutates its
-inputs, and returns a fresh array; mismatches raise :class:`ShapeError`
-naming both operand shapes.
+package; products are numpy's own ``@``. Shape mismatches raise
+:class:`ShapeError` naming both operand shapes.
 """
 
 from __future__ import annotations
@@ -13,11 +12,8 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "as_matrix",
-    "matmul",
-    "transpose",
     "frobenius_inner",
     "frobenius_norm",
-    "axpy",
 ]
 
 
@@ -37,18 +33,6 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    """Fresh transposed copy (no views escape the kernel)."""
-    return np.ascontiguousarray(a.T)
-
-
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Entrywise inner product sum_ik a_ik b_ik == trace(a^T b)."""
     if a.shape != b.shape:
@@ -59,10 +43,3 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
 def frobenius_norm(a: np.ndarray) -> float:
     """sqrt of the Frobenius inner product of ``a`` with itself."""
     return float(np.sqrt((a * a).sum()))
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """alpha * x + y."""
-    if x.shape != y.shape:
-        raise ShapeError(f"axpy: shapes differ, {x.shape} vs {y.shape}")
-    return alpha * x + y

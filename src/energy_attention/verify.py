@@ -21,7 +21,6 @@ from .energy import (
     EXP_ARG_LIMIT,
     EnergyForm,
     ExpOverflowError,
-    grad_regularized,
     grad_unregularized,
     reg_coeffs,
     regularized_energy,
@@ -125,7 +124,7 @@ def gradcheck(
 ) -> GradCheckReport:
     """Analytic grad E_R versus finite differences of E_R at one state."""
     c = reg_coeffs(a, v)
-    analytic = grad_regularized(form, a, z, v, c)
+    analytic = regularized_energy(form, a, z, v, c=c).grad
     numeric = fd_gradient(lambda zz: regularized_energy(form, a, zz, v, c=c).e_r, z, h)
     return compare_gradients(analytic, numeric, h, tol)
 
@@ -144,7 +143,7 @@ def stationarity_check(
     """
     av = a @ v
     if regularized:
-        grad = grad_regularized(form, a, av, v, reg_coeffs(a, v))
+        grad = regularized_energy(form, a, av, v, c=reg_coeffs(a, v)).grad
     else:
         grad = grad_unregularized(form, a, av, v)
     grad_norm = frobenius_norm(grad)

@@ -103,6 +103,11 @@ class TestAttentionOutput:
         out = attention_output(np.full((2, 2), 0.5), np.array([[1.0], [3.0]]))
         np.testing.assert_allclose(out, [[2.0], [2.0]])
 
+    def test_value_rows_must_match_weights(self):
+        with pytest.raises(ShapeError) as err:
+            attention_output(np.eye(2), np.zeros((3, 1)))
+        assert "(3, 1)" in str(err.value) and "(2, 2)" in str(err.value)
+
 
 class TestBuildContext:
     def test_single_token_attends_to_itself(self):

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import energy_attention
 from energy_attention import cli
 from energy_attention.cli import (
     EXIT_CHECK_FAILED,
@@ -105,6 +109,23 @@ class TestGen:
         run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "data"))
         obj = json.loads((tmp_path / "data" / "X.json").read_text())
         assert obj["rows"] == 4 and obj["cols"] == 8
+
+    def test_files_match_golden_hashes(self, tmp_path):
+        # pins the SplitMix64 + Box-Muller draws and the %.17g file format
+        # bit for bit, so a faster generator must reproduce these files
+        golden = {
+            "X.json": "59fd0914c055f1ba3a5ed4cdeab6644fb5a1cc83b0bedf4e666d722676fbf11d",
+            "W_q.json": "c02ad7a4391728bd236542973e2b144457e961fc0b4adadd67754cf6600f3be3",
+            "W_k.json": "d70bae0d62bf9bac9eba10a0ffeac087ff7d6a4fa9fa773a882d3ca682111457",
+            "W_v.json": "278e23081cb21baf33148ec10dcf730b9d6e3774f7fb37b691c04f4c865085c6",
+        }
+        cfg = write_config(tmp_path, n=4, d=8, d_k=2, d_v=2, seed=7)
+        assert run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "data")) == EXIT_OK
+        got = {
+            name: hashlib.sha256((tmp_path / "data" / name).read_bytes()).hexdigest()
+            for name in golden
+        }
+        assert got == golden
 
 
 class TestRun:
@@ -308,10 +329,15 @@ class TestSweepCommand:
 
 def test_module_entry_point_runs(tmp_path):
     cfg = write_config(tmp_path)
+    # the child imports the same package as this process, installed or not
+    src = str(Path(energy_attention.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "energy_attention", "gen", "--config", str(cfg), "--out", str(tmp_path / "data")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "data" / "X.json").exists()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import energy_attention as ea
-from energy_attention.dynamics import DescentConfig, DescentTrace, descend, descend_step, hebbian_update, linear_descent
-from energy_attention.energy import EXPONENTIAL, QUADRATIC, polynomial, reg_coeffs
+from energy_attention.dynamics import DescentConfig, DescentTrace, descend, linear_descent
+from energy_attention.energy import EXPONENTIAL, QUADRATIC, polynomial
 from energy_attention.linalg import frobenius_norm
 
 from helpers import gaussian_head_inputs, wellconditioned_head_seeds
@@ -44,32 +44,35 @@ class TestDescentConfig:
             DescentConfig(**kwargs)
 
 
+def one_step(eta, clip_norm=None):
+    """A single fixed-eta update: no tolerance stop, no backtracking."""
+    return DescentConfig(eta=eta, max_iters=1, grad_tol=0.0, clip_norm=clip_norm, backtracking=False)
+
+
 class TestDescendStep:
     def test_stationary_point_is_fixed(self):
         ctx = hand_context()
-        c = reg_coeffs(ctx.a, ctx.v)
         for form in ALL_FORMS:
-            z_next, grad_norm = descend_step(form, ctx, ctx.av, c, DescentConfig(eta=0.1))
-            np.testing.assert_array_equal(z_next, ctx.av)
-            assert grad_norm == 0.0
+            z, trace = descend(form, ctx, ctx.av, one_step(0.1))
+            np.testing.assert_array_equal(z, ctx.av)
+            assert trace.grad_norms == (0.0,)
 
     def test_quadratic_step_from_origin(self):
         ctx = hand_context()
-        c = reg_coeffs(ctx.a, ctx.v)
-        z_next, grad_norm = descend_step(QUADRATIC, ctx, np.zeros((2, 1)), c, DescentConfig(eta=0.1))
-        np.testing.assert_allclose(z_next, [[0.2], [1.6]])
-        assert grad_norm == pytest.approx(np.sqrt(260.0), rel=1e-15)
+        z, trace = descend(QUADRATIC, ctx, np.zeros((2, 1)), one_step(0.1))
+        assert trace.iters == 1
+        np.testing.assert_allclose(z, [[0.2], [1.6]])
+        assert trace.grad_norms[0] == pytest.approx(np.sqrt(260.0), rel=1e-15)
 
     def test_clipping_preserves_direction_and_caps_length(self):
         ctx = hand_context()
-        c = reg_coeffs(ctx.a, ctx.v)
-        cfg = DescentConfig(eta=0.1, clip_norm=1.0)
-        z_next, grad_norm = descend_step(QUADRATIC, ctx, np.zeros((2, 1)), c, cfg)
-        assert grad_norm == pytest.approx(np.sqrt(260.0), rel=1e-15)
+        z, trace = descend(QUADRATIC, ctx, np.zeros((2, 1)), one_step(0.1, clip_norm=1.0))
+        assert trace.iters == 1
+        assert trace.grad_norms[0] == pytest.approx(np.sqrt(260.0), rel=1e-15)
         # step length eta * clip_norm along the gradient direction
-        assert frobenius_norm(z_next) == pytest.approx(0.1, rel=1e-12)
+        assert frobenius_norm(z) == pytest.approx(0.1, rel=1e-12)
         grad_dir = np.array([[-2.0], [-16.0]]) / np.sqrt(260.0)
-        np.testing.assert_allclose(z_next, -0.1 * grad_dir, rtol=1e-12)
+        np.testing.assert_allclose(z, -0.1 * grad_dir, rtol=1e-12)
 
 
 class TestDescend:
@@ -168,36 +171,6 @@ class TestLinearDescent:
         for t, grad_norm in enumerate(trace.grad_norms):
             expected = abs(1.0 - eta) ** t * base
             assert grad_norm == pytest.approx(expected, rel=1e-9)
-
-
-class TestHebbianUpdate:
-    def test_zero_rate_is_identity(self):
-        ctx = small_context()
-        z = np.array(ctx.av)
-        np.testing.assert_array_equal(hebbian_update(ctx, z, 0.0), z)
-
-    def test_one_step_from_origin(self):
-        ctx = small_context()
-        z0 = np.zeros((ctx.n, ctx.d_v))
-        np.testing.assert_array_equal(hebbian_update(ctx, z0, 1.0), ctx.av)
-
-    def test_half_rate_hand_value(self):
-        ctx = ea.AttentionContext(
-            q=np.eye(2), k=np.eye(2), v=np.array([[2.0], [2.0]]),
-            a=np.eye(2), av=np.array([[2.0], [2.0]]),
-        )
-        out = hebbian_update(ctx, np.zeros((2, 1)), 0.5)
-        np.testing.assert_array_equal(out, [[1.0], [1.0]])
-
-    def test_norm_grows_without_bound(self):
-        ctx = small_context()
-        assert frobenius_norm(ctx.av) > 0
-        z = np.zeros((ctx.n, ctx.d_v))
-        norms = []
-        for _ in range(100):
-            z = hebbian_update(ctx, z, 0.1)
-            norms.append(frobenius_norm(z))
-        assert all(b > a for a, b in zip(norms, norms[1:]))
 
 
 def test_trace_dataclass_shape():

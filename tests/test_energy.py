@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,17 +13,14 @@ from energy_attention.energy import (
     EnergyForm,
     ExpOverflowError,
     alignment_scores,
-    energy,
     f_apply,
     f_prime,
-    grad_regularized,
     grad_unregularized,
     linear_energy,
     linear_grad,
     polynomial,
     reg_coeffs,
     regularized_energy,
-    regularizer,
 )
 
 from helpers import random_attention
@@ -108,15 +107,15 @@ class TestRegCoeffs:
 
 class TestEnergy:
     def test_quadratic_hand_value(self):
-        assert energy(QUADRATIC, I2, AV12, V12) == 17.0
+        assert regularized_energy(QUADRATIC, I2, AV12, V12).e == 17.0
 
     def test_polynomial_of_zero_state(self):
         for p in (1, 2, 3, 4):
-            assert energy(polynomial(p), I2, np.zeros((2, 1)), V12) == 0.0
+            assert regularized_energy(polynomial(p), I2, np.zeros((2, 1)), V12).e == 0.0
 
     def test_exponential_hand_value(self):
         expected = np.exp(1.0) + np.exp(4.0)
-        assert energy(EXPONENTIAL, I2, AV12, V12) == pytest.approx(expected, rel=1e-15)
+        assert regularized_energy(EXPONENTIAL, I2, AV12, V12).e == pytest.approx(expected, rel=1e-15)
 
 
 class TestLinearFunctional:
@@ -139,29 +138,29 @@ class TestLinearFunctional:
 class TestRegularizer:
     def test_quadratic_hand_value(self):
         c = reg_coeffs(I2, V12)
-        assert regularizer(QUADRATIC, I2, AV12, V12, c) == -34.0
+        assert regularized_energy(QUADRATIC, I2, AV12, V12, c=c).r == -34.0
 
     def test_linear_in_state(self):
         z = np.zeros((2, 1))
         for form in ALL_FORMS:
             c = reg_coeffs(I2, V12)
-            assert regularizer(form, I2, z, V12, c) == 0.0
+            assert regularized_energy(form, I2, z, V12, c=c).r == 0.0
 
     def test_cubic_hand_value(self):
         c = reg_coeffs(I2, V12)
-        assert regularizer(polynomial(3), I2, AV12, V12, c) == -195.0
+        assert regularized_energy(polynomial(3), I2, AV12, V12, c=c).r == -195.0
 
 
 class TestGradients:
     def test_zero_at_av_for_every_form(self):
         c = reg_coeffs(I2, V12)
         for form in ALL_FORMS:
-            grad = grad_regularized(form, I2, AV12, V12, c)
+            grad = regularized_energy(form, I2, AV12, V12, c=c).grad
             np.testing.assert_array_equal(grad, np.zeros((2, 1)))
 
     def test_quadratic_at_origin(self):
         c = reg_coeffs(I2, V12)
-        grad = grad_regularized(QUADRATIC, I2, np.zeros((2, 1)), V12, c)
+        grad = regularized_energy(QUADRATIC, I2, np.zeros((2, 1)), V12, c=c).grad
         np.testing.assert_allclose(grad, [[-2.0], [-16.0]])
 
     def test_degree_one_gradient_vanishes_everywhere(self):
@@ -171,7 +170,7 @@ class TestGradients:
         c = reg_coeffs(a, v)
         for _ in range(5):
             z = rng.normal(size=(4, 2))
-            grad = grad_regularized(polynomial(1), a, z, v, c)
+            grad = regularized_energy(polynomial(1), a, z, v, c=c).grad
             np.testing.assert_array_equal(grad, np.zeros((4, 2)))
 
     def test_unregularized_quadratic_at_av(self):
@@ -220,7 +219,8 @@ class TestRegularizedEnergy:
         a = random_attention(rng, 4)
         v = rng.normal(size=(4, 2))
         z = rng.normal(size=(4, 2))
-        assert energy(polynomial(1), a, z, v) == pytest.approx(energy(LINEAR, a, z, v), rel=1e-14)
+        degree_one = regularized_energy(polynomial(1), a, z, v).e
+        assert degree_one == pytest.approx(regularized_energy(LINEAR, a, z, v).e, rel=1e-14)
 
 
 @given(st.integers(0, 10_000))
@@ -246,7 +246,7 @@ def test_stationarity_of_regularized_gradient(seed):
     c = reg_coeffs(a, v)
     scale = 1.0 + np.sqrt((av * av).sum())
     for form in ALL_FORMS:
-        grad = grad_regularized(form, a, av, v, c)
+        grad = regularized_energy(form, a, av, v, c=c).grad
         assert np.sqrt((grad * grad).sum()) <= 1e-8 * scale
 
 
@@ -273,4 +273,5 @@ def test_overflow_propagates_through_bundle():
 
 def test_public_reexports():
     assert ea.QUADRATIC is QUADRATIC
+    assert ea.energy is importlib.import_module("energy_attention.energy")
     assert ea.polynomial(2).kind == "polynomial"

@@ -4,15 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from energy_attention.linalg import (
-    ShapeError,
-    as_matrix,
-    axpy,
-    frobenius_inner,
-    frobenius_norm,
-    matmul,
-    transpose,
-)
+from energy_attention.linalg import ShapeError, as_matrix, frobenius_inner, frobenius_norm
 
 I2 = np.eye(2)
 
@@ -38,36 +30,6 @@ class TestAsMatrix:
         m = as_matrix(src)
         m[0, 0] = 5.0
         assert src[0, 0] == 1.0
-
-
-class TestMatmul:
-    def test_identity(self):
-        np.testing.assert_array_equal(matmul(I2, np.array([[1.0], [2.0]])), [[1.0], [2.0]])
-
-    def test_zero(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(a, np.zeros((2, 1))), [[0.0], [0.0]])
-
-    def test_hand_product(self):
-        a = np.full((2, 2), 0.5)
-        np.testing.assert_allclose(matmul(a, np.array([[1.0], [3.0]])), [[2.0], [2.0]])
-
-    def test_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError) as err:
-            matmul(np.zeros((2, 3)), np.zeros((4, 1)))
-        assert "(2, 3)" in str(err.value) and "(4, 1)" in str(err.value)
-
-
-class TestTranspose:
-    def test_row_to_column(self):
-        np.testing.assert_array_equal(transpose(np.array([[1.0, 2.0]])), [[1.0], [2.0]])
-
-    def test_symmetric_fixed_point(self):
-        np.testing.assert_array_equal(transpose(I2), I2)
-
-    @given(mat(3, 2))
-    def test_involution(self, m):
-        np.testing.assert_array_equal(transpose(transpose(m)), m)
 
 
 class TestFrobeniusInner:
@@ -96,24 +58,6 @@ class TestFrobeniusNorm:
         assert frobenius_norm(np.array([[3.0], [4.0]])) == 5.0
 
 
-class TestAxpy:
-    def test_zero_alpha(self):
-        m, other = np.ones((2, 2)), np.full((2, 2), 7.0)
-        np.testing.assert_array_equal(axpy(0.0, m, other), other)
-
-    def test_cancellation(self):
-        m = np.array([[1.0, -2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(axpy(1.0, m, -m), np.zeros((2, 2)))
-
-    def test_scaled_step(self):
-        got = axpy(0.1, np.array([[-2.0], [-16.0]]), np.zeros((2, 1)))
-        np.testing.assert_allclose(got, [[-0.2], [-1.6]], rtol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            axpy(1.0, np.zeros((2, 1)), np.zeros((1, 2)))
-
-
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_inner_product_equals_trace(data):
@@ -121,21 +65,8 @@ def test_inner_product_equals_trace(data):
     a = data.draw(mat(rows, cols))
     b = data.draw(mat(rows, cols))
     inner = frobenius_inner(a, b)
-    trace = float(np.diagonal(matmul(transpose(a), b)).sum())
+    trace = float(np.diagonal(a.T @ b).sum())
     assert abs(inner - trace) <= 1e-12 * (1.0 + abs(inner))
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_matmul_associative(data):
-    m, k, p, q = (data.draw(dims) for _ in range(4))
-    a = data.draw(mat(m, k))
-    b = data.draw(mat(k, p))
-    c = data.draw(mat(p, q))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    scale = 1.0 + max(np.abs(left).max(), np.abs(right).max())
-    np.testing.assert_allclose(left, right, rtol=1e-10, atol=1e-10 * scale)
 
 
 @given(st.data())

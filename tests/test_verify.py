@@ -6,7 +6,6 @@ from energy_attention.energy import (
     EXPONENTIAL,
     LINEAR,
     QUADRATIC,
-    grad_regularized,
     polynomial,
     reg_coeffs,
     regularized_energy,
@@ -83,7 +82,7 @@ class TestGradcheck:
         v = rng.normal(size=(4, 2))
         z = rng.normal(size=(4, 2))
         c = reg_coeffs(a, v)
-        analytic = grad_regularized(QUADRATIC, a, z, v, c)
+        analytic = regularized_energy(QUADRATIC, a, z, v, c=c).grad
         numeric = fd_gradient(lambda m: regularized_energy(QUADRATIC, a, m, v, c=c).e_r, z, 1e-6)
         report = compare_gradients(-analytic, numeric, h=1e-6, tol=1e-5)
         assert not report.passed
