@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
-"""Measure non-linear head wall time against the token count n and fit the
-growth exponent. The coefficient path computes c_j through G = AV in
-O(n^2 d_v), so the fit should stay near 2 (plus call overhead at small n),
-not 3.
+"""Measure the per-iteration cost of a non-linear head against the token
+count n and fit its growth exponent.
+
+Each size is timed as best-of-k wall time of ``run_head`` at two iteration
+budgets; their difference divided by the extra iterations is the cost of
+one iteration, so problem generation, the perturbation noise and the
+attention context, which every run pays once, drop out. One iteration
+evaluates E_R and its gradient through A in O(n^2 d_v), so at n >= 256,
+where that work outweighs the per-call overhead, the fit should sit near
+2, not 3.
 
 Example:
-    python scripts/cost_scaling.py --sizes 8,16,32,64,128,256 --repeats 25
+    python scripts/cost_scaling.py --sizes 256,512,1024,2048 --repeats 5
 """
 
 import argparse
@@ -17,20 +23,7 @@ import energy_attention as ea
 from energy_attention.rng import GaussianStream
 
 
-def timed_head(n, d, d_k, d_v, iters, repeats):
-    stream = GaussianStream(n)
-    scale = 1.0 / d**0.5
-    x = stream.matrix(n, d, scale)
-    weights = ea.ProjectionWeights(
-        stream.matrix(d, d_k, scale),
-        stream.matrix(d, d_k, scale),
-        stream.matrix(d, d_v, scale),
-    )
-    spec = ea.HeadSpec(
-        d=d, d_k=d_k, d_v=d_v, form=ea.QUADRATIC,
-        descent=ea.DescentConfig(eta=1e-6, max_iters=iters, grad_tol=0.0, backtracking=False),
-        perturb_sigma=0.1, perturb_seed=n,
-    )
+def best_time(x, weights, spec, repeats):
     ea.run_head(x, weights, spec)  # warmup
     best = np.inf
     for _ in range(repeats):
@@ -40,22 +33,51 @@ def timed_head(n, d, d_k, d_v, iters, repeats):
     return best
 
 
+def per_iteration_cost(n, d, d_k, d_v, iters, repeats):
+    stream = GaussianStream(n)
+    scale = 1.0 / d**0.5
+    x = stream.matrix(n, d, scale)
+    weights = ea.ProjectionWeights(
+        stream.matrix(d, d_k, scale),
+        stream.matrix(d, d_k, scale),
+        stream.matrix(d, d_v, scale),
+    )
+    times = []
+    for max_iters in iters:
+        # a tiny fixed step with no tolerance stop runs exactly max_iters
+        # iterations of one energy evaluation each
+        spec = ea.HeadSpec(
+            d=d, d_k=d_k, d_v=d_v, form=ea.QUADRATIC,
+            descent=ea.DescentConfig(
+                eta=1e-6, max_iters=max_iters, grad_tol=0.0, backtracking=False
+            ),
+            perturb_sigma=0.1, perturb_seed=n,
+        )
+        times.append(best_time(x, weights, spec, repeats))
+    return (times[1] - times[0]) / (iters[1] - iters[0])
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", default="8,16,32,64,128")
+    parser.add_argument("--sizes", default="256,512,1024,2048")
     parser.add_argument("--d-v", type=int, default=4)
-    parser.add_argument("--iters", type=int, default=10)
-    parser.add_argument("--repeats", type=int, default=25)
+    parser.add_argument("--iters", default="5,25", help="the two iteration budgets")
+    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
     sizes = [int(tok) for tok in args.sizes.split(",")]
-    times = []
-    print(f"{'n':>6s} {'best wall time':>16s}")
+    iters = [int(tok) for tok in args.iters.split(",")]
+    if len(iters) != 2 or not 1 <= iters[0] < iters[1]:
+        parser.error("--iters must be two budgets 1 <= low < high")
+    costs = []
+    print(f"{'n':>6s} {'per-iteration cost':>20s}")
     for n in sizes:
-        best = timed_head(n, 8, 4, args.d_v, args.iters, args.repeats)
-        times.append(best)
-        print(f"{n:6d} {best * 1e3:13.3f} ms")
-    slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
+        cost = per_iteration_cost(n, 8, 4, args.d_v, iters, args.repeats)
+        costs.append(cost)
+        print(f"{n:6d} {cost * 1e3:17.3f} ms")
+    if min(costs) <= 0:
+        parser.error("a per-iteration cost came out non-positive; raise --repeats or --iters")
+    slope = float(np.polyfit(np.log(sizes), np.log(costs), 1)[0])
     print(f"fitted exponent: {slope:.2f}")
 
 

@@ -33,7 +33,15 @@ from .energy import (
     reg_coeffs,
     regularized_energy,
 )
-from .heads import HeadOutput, HeadSpec, linear_head, multi_head, nonlinear_head, run_head
+from .heads import (
+    HeadOutput,
+    HeadSpec,
+    linear_head,
+    multi_head,
+    nonlinear_head,
+    run_head,
+    solve_head,
+)
 from .linalg import ShapeError, as_matrix, frobenius_inner, frobenius_norm
 from .rng import GaussianStream
 from .verify import (

@@ -25,7 +25,7 @@ from pathlib import Path
 from .attention import ProjectionWeights, build_context
 from .dynamics import DescentConfig
 from .energy import EnergyForm, ExpOverflowError
-from .heads import HeadSpec, run_head
+from .heads import HeadSpec, run_head, solve_head
 from .matio import load_matrix, save_matrix
 from .rng import GaussianStream
 from .verify import gradcheck, stationarity_check
@@ -225,12 +225,17 @@ def _load_inputs(config: RunConfig, in_dir):
 
 
 def cmd_run(config: RunConfig, in_dir, emit_z: bool = False):
-    """Execute the configured heads; returns (report, any_diverged)."""
+    """Execute the configured heads; returns (report, any_diverged).
+
+    Every head reads the same tokens through the same weights, so one
+    attention context serves them all; only the perturbation noise differs.
+    """
     x, w = _load_inputs(config, in_dir)
+    ctx = build_context(x, w, config.d_k)
     entries = []
     any_diverged = False
     for index in range(config.heads):
-        out = run_head(x, w, config.head_spec(index))
+        out = solve_head(ctx, config.head_spec(index))
         trace = out.trace
         entry = {
             "form": config.form.kind,

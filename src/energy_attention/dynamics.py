@@ -13,6 +13,7 @@ flagged as diverged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,12 +50,12 @@ class DescentConfig:
     backtracking: bool = True
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol < 0:
-            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        if not self.grad_tol >= 0:
+            raise ValueError(f"grad_tol must be >= 0 and not NaN, got {self.grad_tol}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive when set, got {self.clip_norm}")
 

@@ -5,10 +5,16 @@ matrix Z. The linear head returns Z = AV directly. Non-linear heads start
 the descent at Z0 = AV, which is already stationary for every form, so the
 unperturbed run converges at iteration 0; setting ``perturb_sigma`` > 0
 adds seeded Gaussian noise to Z0 to make the dynamics observable.
+
+``solve_head`` does the work from an already built context, so heads that
+share tokens and weights (every head of one ``run`` command) build the
+context once; ``run_head`` and friends check their inputs, build a
+context and call it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +25,15 @@ from .energy import EnergyForm, linear_energy
 from .linalg import ShapeError
 from .rng import GaussianStream
 
-__all__ = ["HeadSpec", "HeadOutput", "linear_head", "nonlinear_head", "run_head", "multi_head"]
+__all__ = [
+    "HeadSpec",
+    "HeadOutput",
+    "solve_head",
+    "linear_head",
+    "nonlinear_head",
+    "run_head",
+    "multi_head",
+]
 
 
 @dataclass(frozen=True)
@@ -36,8 +50,8 @@ class HeadSpec:
         for name in ("d", "d_k", "d_v"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.perturb_sigma < 0:
-            raise ValueError(f"perturb_sigma must be >= 0, got {self.perturb_sigma}")
+        if not (math.isfinite(self.perturb_sigma) and self.perturb_sigma >= 0):
+            raise ValueError(f"perturb_sigma must be finite and >= 0, got {self.perturb_sigma}")
 
 
 @dataclass(frozen=True)
@@ -57,28 +71,28 @@ def _check_head_input(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec):
         )
 
 
-def linear_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
-    """Closed-form head: Z = AV, no descent iterations."""
-    if spec.form.kind != "linear":
-        raise ValueError(f"linear_head requires the linear form, got {spec.form.label}")
-    _check_head_input(x, w, spec)
-    ctx = build_context(x, w, spec.d_k)
-    z = ctx.av
-    trace = DescentTrace(
-        energies=(linear_energy(z, ctx.a, ctx.v),),
-        grad_norms=(0.0,),
-        iters=0,
-        converged=True,
-    )
-    return HeadOutput(z=z, trace=trace, context=ctx)
+def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
+    """Head output from a built context, dispatching on the energy form.
 
-
-def nonlinear_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
-    """Iterative head: descend the regularized energy from Z0 = AV (+ noise)."""
+    The linear form gives Z = AV with no descent iterations; every other
+    form descends the regularized energy from Z0 = AV (+ seeded noise).
+    Heads that read the same tokens through the same weights can share
+    one context.
+    """
+    if ctx.q.shape[1] != spec.d_k or ctx.d_v != spec.d_v:
+        raise ShapeError(
+            f"context (d_k={ctx.q.shape[1]}, d_v={ctx.d_v}) does not match head spec "
+            f"(d_k={spec.d_k}, d_v={spec.d_v})"
+        )
     if spec.form.kind == "linear":
-        return linear_head(x, w, spec)
-    _check_head_input(x, w, spec)
-    ctx = build_context(x, w, spec.d_k)
+        z = ctx.av
+        trace = DescentTrace(
+            energies=(linear_energy(z, ctx.a, ctx.v),),
+            grad_norms=(0.0,),
+            iters=0,
+            converged=True,
+        )
+        return HeadOutput(z=z, trace=trace, context=ctx)
     z0 = ctx.av
     if spec.perturb_sigma > 0.0:
         noise = GaussianStream(spec.perturb_seed).matrix(ctx.n, spec.d_v)
@@ -87,11 +101,29 @@ def nonlinear_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadO
     return HeadOutput(z=z, trace=trace, context=ctx)
 
 
+def _head_context(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> AttentionContext:
+    _check_head_input(x, w, spec)
+    return build_context(x, w, spec.d_k)
+
+
+def linear_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
+    """Closed-form head: Z = AV, no descent iterations."""
+    if spec.form.kind != "linear":
+        raise ValueError(f"linear_head requires the linear form, got {spec.form.label}")
+    return solve_head(_head_context(x, w, spec), spec)
+
+
+def nonlinear_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
+    """Iterative head: descend the regularized energy from Z0 = AV (+ noise).
+
+    A linear form gets the closed-form head.
+    """
+    return solve_head(_head_context(x, w, spec), spec)
+
+
 def run_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
-    """Dispatch on the head's energy form."""
-    if spec.form.kind == "linear":
-        return linear_head(x, w, spec)
-    return nonlinear_head(x, w, spec)
+    """Check the inputs, build the head's context and solve it."""
+    return solve_head(_head_context(x, w, spec), spec)
 
 
 def multi_head(x: np.ndarray, heads) -> np.ndarray:

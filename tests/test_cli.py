@@ -10,6 +10,7 @@ import pytest
 
 import energy_attention
 from energy_attention import cli
+from energy_attention.attention import build_context
 from energy_attention.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DIVERGED,
@@ -18,6 +19,7 @@ from energy_attention.cli import (
     ConfigError,
     parse_config,
 )
+from energy_attention.heads import run_head
 
 
 def run_cli(*argv):
@@ -212,6 +214,58 @@ class TestRun:
         run_cli("gen", "--config", str(cfg), "--out", str(data))
         code = run_cli("run", "--config", str(cfg), "--in", str(data), "--out", str(tmp_path / "r.json"))
         assert code == EXIT_DIVERGED
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"perturb_sigma": float("nan"), "grad_tol": float("nan")},
+            {"perturb_sigma": float("inf")},
+            {"eta": float("inf")},
+        ],
+    )
+    def test_non_finite_config_values_exit_2(self, tmp_path, capsys, overrides):
+        data = tmp_path / "data"
+        assert run_cli("gen", "--config", str(write_config(tmp_path)), "--out", str(data)) == EXIT_OK
+        capsys.readouterr()
+        # json.dumps writes NaN/Infinity, which json.loads reads back as floats
+        cfg = write_config(tmp_path, "bad.json", **overrides)
+        report = tmp_path / "r.json"
+        code = run_cli("run", "--config", str(cfg), "--in", str(data), "--out", str(report))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"heads": 3, "perturb_sigma": 0.1, "t_max": 20},
+            {"heads": 2, "form": {"kind": "linear"}},
+        ],
+    )
+    def test_heads_share_one_context(self, tmp_path, monkeypatch, overrides):
+        config = cli.load_config(write_config(tmp_path, **overrides))
+        cli.cmd_gen(config, tmp_path / "data")
+        calls = []
+
+        def counting_build_context(*args):
+            calls.append(args)
+            return build_context(*args)
+
+        monkeypatch.setattr(cli, "build_context", counting_build_context)
+        report, _ = cli.cmd_run(config, tmp_path / "data", emit_z=True)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        x, w = cli.generate_inputs(config)
+        assert len(report["heads"]) == config.heads
+        for index, entry in enumerate(report["heads"]):
+            alone = run_head(x, w, config.head_spec(index))
+            assert entry["iters"] == alone.trace.iters
+            assert entry["converged"] == alone.trace.converged
+            assert entry["diverged"] == alone.trace.diverged
+            assert entry["final_grad_norm"] == alone.trace.grad_norms[-1]
+            assert entry["energy_initial"] == alone.trace.energies[0]
+            assert entry["energy_final"] == alone.trace.energies[-1]
+            assert entry["z"]["data"] == alone.z.ravel().tolist()
 
 
 FORM_CONFIGS = [

@@ -37,6 +37,9 @@ class TestDescentConfig:
             {"max_iters": 0},
             {"grad_tol": -1e-9},
             {"clip_norm": 0.0},
+            {"eta": float("inf")},
+            {"eta": float("nan")},
+            {"grad_tol": float("nan")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

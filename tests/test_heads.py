@@ -3,7 +3,14 @@ import pytest
 
 import energy_attention as ea
 from energy_attention.energy import EXPONENTIAL, LINEAR, QUADRATIC, ExpOverflowError, polynomial
-from energy_attention.heads import HeadSpec, linear_head, multi_head, nonlinear_head, run_head
+from energy_attention.heads import (
+    HeadSpec,
+    linear_head,
+    multi_head,
+    nonlinear_head,
+    run_head,
+    solve_head,
+)
 from energy_attention.linalg import ShapeError
 
 from helpers import gaussian_head_inputs, wellconditioned_head_seeds
@@ -131,6 +138,30 @@ class TestMultiHead:
             multi_head(x, [])
 
 
+class TestSolveHead:
+    @pytest.mark.parametrize("form", [LINEAR, QUADRATIC, polynomial(4), EXPONENTIAL])
+    def test_shared_context_matches_run_head(self, form):
+        x, w = gaussian_head_inputs(8, 5, 8, 2, 3)
+        ctx = ea.build_context(x, w, 2)
+        for seed in (1, 2):
+            spec = HeadSpec(
+                d=8, d_k=2, d_v=3, form=form,
+                descent=ea.DescentConfig(eta=0.1, max_iters=20),
+                perturb_sigma=0.1, perturb_seed=seed,
+            )
+            shared, alone = solve_head(ctx, spec), run_head(x, w, spec)
+            assert shared.context is ctx
+            assert np.array_equal(shared.z, alone.z)
+            assert shared.trace == alone.trace
+
+    def test_context_must_match_spec(self):
+        x, w = gaussian_head_inputs(8, 5, 8, 2, 3)
+        ctx = ea.build_context(x, w, 2)
+        for d_k, d_v in ((2, 1), (3, 3)):
+            with pytest.raises(ShapeError):
+                solve_head(ctx, HeadSpec(d=8, d_k=d_k, d_v=d_v, form=LINEAR))
+
+
 class TestHeadSpec:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -139,3 +170,8 @@ class TestHeadSpec:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             HeadSpec(d=8, d_k=2, d_v=2, form=QUADRATIC, perturb_sigma=-0.1)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            HeadSpec(d=8, d_k=2, d_v=2, form=QUADRATIC, perturb_sigma=sigma)
