@@ -6,9 +6,9 @@ Each size is timed as best-of-k wall time of ``run_head`` at two iteration
 budgets; their difference divided by the extra iterations is the cost of
 one iteration, so problem generation, the perturbation noise and the
 attention context, which every run pays once, drop out. One iteration
-evaluates E_R and its gradient through A in O(n^2 d_v), so at n >= 256,
-where that work outweighs the per-call overhead, the fit should sit near
-2, not 3.
+forms the gradient and the step's image in score space, two products
+with A in O(n^2 d_v), so at n >= 256, where that work outweighs the
+per-call overhead, the fit should sit near 2, not 3.
 
 Example:
     python scripts/cost_scaling.py --sizes 256,512,1024,2048 --repeats 5
@@ -45,7 +45,7 @@ def per_iteration_cost(n, d, d_k, d_v, iters, repeats):
     times = []
     for max_iters in iters:
         # a tiny fixed step with no tolerance stop runs exactly max_iters
-        # iterations of one energy evaluation each
+        # iterations of two products with A each (gradient and score image)
         spec = ea.HeadSpec(
             d=d, d_k=d_k, d_v=d_v, form=ea.QUADRATIC,
             descent=ea.DescentConfig(

@@ -56,8 +56,7 @@ def main():
     for i, (e, g) in enumerate(zip(out.trace.energies, out.trace.grad_norms)):
         if i < 10 or i % 10 == 0 or i == out.trace.iters:
             print(f"{i:5d} {e:22.12e} {g:14.6e}")
-    status = "converged" if out.trace.converged else ("diverged" if out.trace.diverged else "hit max_iters")
-    print(f"{status} after {out.trace.iters} iterations; "
+    print(f"stopped ({out.trace.stop_reason}) after {out.trace.iters} iterations; "
           f"distance to AV = {ea.frobenius_norm(out.z - out.context.av):.3e}")
 
 

@@ -1,14 +1,33 @@
-"""Gradient-descent dynamics on the regularized energy.
+"""Gradient-descent dynamics on the regularized energy, line-searched in u-space.
 
 The update is Z <- Z - eta * grad E_R(Z), with optional gradient clipping.
+E_R depends on Z only through the alignment scores u = L(Z), and L is
+linear, so a step moves the scores to u(Z - a g) = u - a L(g). An accepted
+step therefore costs two products with A: the gradient
+A diag(F'(u) - F'(c)) V at the current scores, and the image delta = L(g)
+of the (clipped) step. A line-search trial at step size a costs O(n): with
+h = a delta its energy change is
+
+    dE = sum_j [F(u_j - h_j) - F(u_j) + F'(u_j) h_j] - sum_j (F'(u_j) - F'(c_j)) h_j,
+
+where the bracket is formed per form without subtracting two energies
+(h^2 for the quadratic, e^u (expm1(-h) + h) for the exponential, the
+binomial tail of (u - h)^p for polynomials). dE thus carries rounding error
+proportional to the step, not to |E_R|, and a trial is accepted on
+dE <= 0. The scores (O(n)) and Z (O(n d_v)) are updated only on an accepted
+step; the recorded energies are the exact E_R(Z0) plus the accepted
+changes, so with backtracking they never increase.
+
 By default the step size backtracks: a working eta starts at the configured
-value, is halved whenever a proposed step would raise E_R, doubled after a
-strictly decreasing accepted step, and held on an exact tie. Energies along
-an accepted trajectory are therefore never increasing, and the working eta
-adapts to the local curvature in both directions. With backtracking
-disabled the configured eta is honored verbatim, and a run whose energy
-rises for 10 consecutive iterations (or goes non-finite) is stopped and
-flagged as diverged.
+value, is halved whenever a trial would raise E_R, doubled after a strictly
+decreasing accepted step, and held on an exact tie. If 60 halvings find no
+trial with dE <= 0 the run stops as "stalled". With backtracking disabled
+the configured eta is honored verbatim, and a run whose energy rises for 10
+consecutive iterations (or goes non-finite) is stopped and flagged as
+diverged.
+
+``linear_descent`` runs the same loop on the linear functional
+-<Z, AV> + 0.5 <Z, Z>, whose scores are Z itself (L is the identity).
 """
 
 from __future__ import annotations
@@ -21,10 +40,11 @@ import numpy as np
 
 from .attention import AttentionContext
 from .energy import (
+    EXP_ARG_LIMIT,
     EnergyForm,
-    ExpOverflowError,
+    alignment_scores,
+    f_prime,
     linear_energy,
-    linear_grad,
     reg_coeffs,
     regularized_energy,
 )
@@ -40,6 +60,8 @@ __all__ = [
 _DIVERGENCE_WINDOW = 10
 _MAX_BACKTRACKS = 60
 
+_STOP_REASONS = ("converged", "max_iters", "diverged", "stalled")
+
 
 @dataclass(frozen=True)
 class DescentConfig:
@@ -52,8 +74,12 @@ class DescentConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and positive, got {self.eta}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if (
+            isinstance(self.max_iters, bool)
+            or not isinstance(self.max_iters, int)
+            or self.max_iters < 1
+        ):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.grad_tol >= 0:
             raise ValueError(f"grad_tol must be >= 0 and not NaN, got {self.grad_tol}")
         if self.clip_norm is not None and not self.clip_norm > 0:
@@ -62,13 +88,31 @@ class DescentConfig:
 
 @dataclass(frozen=True)
 class DescentTrace:
-    """Per-iteration record; entry 0 describes the initial iterate."""
+    """Per-iteration record; entry 0 describes the initial iterate.
+
+    ``stop_reason`` is one of "converged", "max_iters", "diverged" or
+    "stalled"; "stalled" means 60 halvings of the working step found no
+    trial that did not raise the energy.
+    """
 
     energies: tuple[float, ...]
     grad_norms: tuple[float, ...]
     iters: int
     converged: bool
     diverged: bool = False
+    stop_reason: str = "converged"
+
+    def __post_init__(self):
+        if self.stop_reason not in _STOP_REASONS:
+            raise ValueError(
+                f"stop_reason must be one of {_STOP_REASONS}, got {self.stop_reason!r}"
+            )
+        flags = (self.stop_reason == "converged", self.stop_reason == "diverged")
+        if (self.converged, self.diverged) != flags:
+            raise ValueError(
+                f"stop_reason {self.stop_reason!r} contradicts "
+                f"converged={self.converged}, diverged={self.diverged}"
+            )
 
 
 def _clipped(grad: np.ndarray, grad_norm: float, clip_norm: float | None) -> np.ndarray:
@@ -77,75 +121,114 @@ def _clipped(grad: np.ndarray, grad_norm: float, clip_norm: float | None) -> np.
     return grad
 
 
+def _form_remainder(form: EnergyForm, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """F(u - h) - F(u) + F'(u) h per score, without subtracting F values."""
+    if form.kind == "quadratic":
+        return h * h
+    if form.kind == "exponential":
+        if np.any(u - h > EXP_ARG_LIMIT):
+            # past the limit regularized_energy raises; here it is overflow
+            return np.full_like(h, np.inf)
+        return np.exp(u) * (np.expm1(-h) + h)
+    rest = np.zeros_like(h)
+    if form.kind == "polynomial":
+        # (u - h)^p expanded from its h^2 term on; the lower terms cancel
+        for k in range(2, form.p + 1):
+            rest += math.comb(form.p, k) * u ** (form.p - k) * (-h) ** k
+    return rest
+
+
+def _line_search(remainder, u, delta, slope, eta, config):
+    """(working eta, energy change) of the first acceptable trial step.
+
+    A trial moves the scores by -eta * delta and changes the energy by
+    sum(remainder) - eta * slope; it is not finite when the trial
+    overflows, and None when 60 halvings found no change <= 0.
+    """
+    for _ in range(_MAX_BACKTRACKS if config.backtracking else 1):
+        de = float(remainder(u, eta * delta).sum()) - eta * slope
+        if not config.backtracking or de <= 0 or not math.isfinite(de):
+            return eta, de
+        eta *= 0.5
+    return eta, None
+
+
 def _descend_loop(
-    eval_fn: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    z0: np.ndarray,
+    z: np.ndarray,
+    u: np.ndarray,
+    e: float,
+    w: np.ndarray,
+    grad: np.ndarray,
+    gradient: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    image: Callable[[np.ndarray], np.ndarray],
+    remainder: Callable[[np.ndarray, np.ndarray], np.ndarray],
     config: DescentConfig,
 ):
     """Shared loop for the regularized and linear dynamics.
 
-    ``eval_fn`` maps an iterate to (energy, gradient). The initial
-    evaluation is allowed to raise; overflow after the first step marks
-    the trace diverged instead.
+    The iterate is Z, its scores u = L(Z), its energy e, the score weights
+    w = dE/du and the state gradient grad = L^T w. ``gradient(u)`` gives
+    (w, grad) at new scores, ``image(step)`` gives L(step), and
+    ``remainder(u, h)`` the per-score energy change beyond first order when
+    the scores move by -h. Overflow after the start marks the trace
+    diverged.
     """
-    z = z0
-    e, grad = eval_fn(z)
     with np.errstate(over="ignore"):
         grad_norm = frobenius_norm(grad)
     energies = [e]
     grad_norms = [grad_norm]
-    converged = grad_norm <= config.grad_tol
-    diverged = not np.isfinite(grad_norm)
+    stop = None
+    if not np.isfinite(grad_norm):
+        stop = "diverged"
+    elif grad_norm <= config.grad_tol:
+        stop = "converged"
     rising_run = 0
     eta = config.eta
 
-    while not converged and not diverged and len(energies) <= config.max_iters:
-        step = _clipped(grad, grad_norm, config.clip_norm)
-        accepted = False
-        tries = _MAX_BACKTRACKS if config.backtracking else 1
-        for _ in range(tries):
-            z_next = z - eta * step
-            try:
-                # inf/nan from a wild step flag divergence below; keep
-                # numpy quiet instead of warning on the way there
-                with np.errstate(over="ignore", invalid="ignore"):
-                    e_next, grad_next = eval_fn(z_next)
-            except ExpOverflowError:
-                diverged = True
-                break
-            with np.errstate(over="ignore"):
-                next_norm = frobenius_norm(grad_next)
-            # a gradient with finite entries can still overflow in norm
-            # during an energy runaway; reject that iterate the same way
-            if not (np.isfinite(e_next) and np.isfinite(next_norm)):
-                diverged = True
-                break
-            if not config.backtracking or e_next <= e:
-                accepted = True
-                break
-            eta *= 0.5
-        if diverged or not accepted:
+    while stop is None:
+        if len(energies) > config.max_iters:
+            stop = "max_iters"
             break
-        if config.backtracking and e_next < e:
+        step = _clipped(grad, grad_norm, config.clip_norm)
+        delta = image(step)
+        # inf/nan from a wild step flag divergence below; keep numpy quiet
+        # instead of warning on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta, de = _line_search(remainder, u, delta, float((w * delta).sum()), eta, config)
+            if de is None or not math.isfinite(de):
+                stop = "stalled" if de is None else "diverged"
+                break
+            u_next = u - eta * delta
+            e_next = e + de
+            w_next, grad_next = gradient(u_next)
+            next_norm = frobenius_norm(grad_next)
+        # a gradient with finite entries can still overflow in norm during
+        # an energy runaway; reject that iterate the same way
+        if not (math.isfinite(e_next) and math.isfinite(next_norm)):
+            stop = "diverged"
+            break
+
+        z = z - eta * step
+        if config.backtracking and de < 0:
             # warm restart: grow the working step again after a clean
             # decrease so stiff and flat curvature regimes both progress
             eta *= 2.0
-
-        rising_run = rising_run + 1 if e_next > e else 0
-        z, e, grad, grad_norm = z_next, e_next, grad_next, next_norm
+        rising_run = rising_run + 1 if de > 0 else 0
+        u, e, w, grad, grad_norm = u_next, e_next, w_next, grad_next, next_norm
         energies.append(e)
         grad_norms.append(grad_norm)
         if grad_norm <= config.grad_tol:
-            converged = True
+            stop = "converged"
         elif rising_run >= _DIVERGENCE_WINDOW:
-            diverged = True
+            stop = "diverged"
 
     trace = DescentTrace(
         energies=tuple(energies),
         grad_norms=tuple(grad_norms),
         iters=len(energies) - 1,
-        converged=converged,
-        diverged=diverged,
+        converged=stop == "converged",
+        diverged=stop == "diverged",
+        stop_reason=stop,
     )
     return z, trace
 
@@ -153,20 +236,47 @@ def _descend_loop(
 def descend(
     form: EnergyForm, ctx: AttentionContext, z0: np.ndarray, config: DescentConfig
 ):
-    """Run the regularized dynamics from z0; returns (z_final, trace)."""
-    c = reg_coeffs(ctx.a, ctx.v)
+    """Run the regularized dynamics from z0; returns (z_final, trace).
 
-    def eval_fn(z):
-        ev = regularized_energy(form, ctx.a, z, ctx.v, c=c)
-        return ev.e_r, ev.grad
+    E_R(Z0) is evaluated once in full (and may raise); every later energy
+    is E_R(Z0) plus the accepted changes.
+    """
+    a, v = ctx.a, ctx.v
+    c = reg_coeffs(a, v)
+    fp_c = f_prime(form, c)
+    start = regularized_energy(form, a, z0, v, c=c)
 
-    return _descend_loop(eval_fn, z0, config)
+    def gradient(u):
+        w = f_prime(form, u) - fp_c
+        return w, a @ (v * w[:, None])
+
+    return _descend_loop(
+        z0,
+        start.u,
+        start.e_r,
+        f_prime(form, start.u) - fp_c,
+        start.grad,
+        gradient,
+        lambda step: alignment_scores(a, step, v),
+        lambda u, h: _form_remainder(form, u, h),
+        config,
+    )
 
 
 def linear_descent(ctx: AttentionContext, z0: np.ndarray, config: DescentConfig):
     """Descent on the linear functional; contracts to AV for 0 < eta < 2."""
 
-    def eval_fn(z):
-        return linear_energy(z, ctx.a, ctx.v), linear_grad(z, ctx.a, ctx.v)
+    def gradient(z):
+        w = z - ctx.av
+        return w, w
 
-    return _descend_loop(eval_fn, z0, config)
+    return _descend_loop(
+        z0,
+        z0,
+        linear_energy(z0, ctx.a, ctx.v),
+        *gradient(z0),
+        gradient,
+        lambda step: step,
+        lambda z, h: 0.5 * h * h,
+        config,
+    )

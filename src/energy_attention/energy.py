@@ -161,19 +161,23 @@ def _check_state(a: np.ndarray, z: np.ndarray, v: np.ndarray):
 
 
 def alignment_scores(a: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_j = sum_m A_mj (z_m . v_j), evaluated as ((A^T Z) row j) . v_j."""
+    """u_j = sum_m A_mj (z_m . v_j), evaluated as ((Z^T A) column j) . v_j.
+
+    Z^T A reads A in its stored row-major order.
+    """
     _check_state(a, z, v)
-    return ((a.T @ z) * v).sum(axis=1)
+    return ((z.T @ a) * v.T).sum(axis=0)
 
 
 def reg_coeffs(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """c_j = sum_m A_mj sum_l A_ml (v_l . v_j), i.e. u_j at Z = AV.
 
-    Evaluated through G = AV in O(n^2 d_v); no n^3 product is formed.
+    Evaluated as ``alignment_scores`` at G = AV in O(n^2 d_v), so c equals
+    u(AV) bit for bit and the gradient at AV is exactly 0; no n^3 product
+    is formed.
     """
     _check_weights_values(a, v)
-    g = a @ v
-    return ((a.T @ g) * v).sum(axis=1)
+    return alignment_scores(a, a @ v, v)
 
 
 def grad_unregularized(

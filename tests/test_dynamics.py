@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,8 @@ class TestDescentConfig:
             {"eta": float("inf")},
             {"eta": float("nan")},
             {"grad_tol": float("nan")},
+            {"max_iters": 2.5},
+            {"max_iters": True},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -84,8 +88,17 @@ class TestDescend:
         for form in ALL_FORMS:
             z, trace = descend(form, ctx, ctx.av, DescentConfig())
             assert trace.converged and trace.iters == 0
+            assert trace.stop_reason == "converged"
             assert len(trace.energies) == len(trace.grad_norms) == 1
             np.testing.assert_array_equal(z, ctx.av)
+
+    def test_attention_output_is_exactly_stationary(self):
+        # c is u(AV) evaluated through the same products, so the gradient at
+        # AV is exactly 0 and even a zero tolerance stops at iteration 0
+        ctx = small_context(n=64, d_k=4, d_v=16)
+        for form in ALL_FORMS:
+            _, trace = descend(form, ctx, ctx.av, DescentConfig(grad_tol=0.0))
+            assert trace.grad_norms == (0.0,) and trace.stop_reason == "converged"
 
     def test_perturbed_quadratic_recovers_stationarity(self):
         seed, n, d_v = wellconditioned_head_seeds(1)[0]
@@ -104,6 +117,7 @@ class TestDescend:
         cfg = DescentConfig(eta=1e4, max_iters=100, grad_tol=0.0, backtracking=False)
         _, trace = descend(QUADRATIC, ctx, z0, cfg)
         assert trace.diverged and not trace.converged
+        assert trace.stop_reason == "diverged"
 
     def test_nonfinite_iterate_flags_divergence(self):
         ctx = small_context()
@@ -130,7 +144,7 @@ class TestDescend:
         z0 = ctx.av + 0.1 * ea.GaussianStream(2).matrix(ctx.n, ctx.d_v)
         cfg = DescentConfig(eta=1e-4, max_iters=7, grad_tol=0.0)
         _, trace = descend(QUADRATIC, ctx, z0, cfg)
-        assert trace.iters == 7
+        assert trace.iters == 7 and trace.stop_reason == "max_iters"
         assert len(trace.energies) == len(trace.grad_norms) == 8
 
     def test_descent_is_deterministic(self):
@@ -141,6 +155,63 @@ class TestDescend:
         z2, t2 = descend(EXPONENTIAL, ctx, z0, cfg)
         assert t1 == t2
         np.testing.assert_array_equal(z1, z2)
+
+    @pytest.mark.parametrize("backtracking", [False, True])
+    def test_exponential_overflow_flags_divergence(self, backtracking):
+        # from -z0 a step of eta = 1e6 pushes scores past the exp() limit;
+        # that ends the run as diverged instead of raising out of the loop
+        ctx = small_context()
+        z0 = ctx.av + 0.1 * ea.GaussianStream(1).matrix(ctx.n, ctx.d_v)
+        cfg = DescentConfig(eta=1e6, max_iters=100, grad_tol=0.0, backtracking=backtracking)
+        _, trace = descend(EXPONENTIAL, ctx, -z0, cfg)
+        assert trace.stop_reason == "diverged" and trace.diverged
+        assert all(np.isfinite(e) for e in trace.energies)
+
+    def test_unreachable_decrease_stops_as_stalled(self):
+        # no trial within 60 halvings of eta = 1e30 lowers E_R
+        ctx = small_context()
+        z0 = ctx.av + 0.1 * ea.GaussianStream(1).matrix(ctx.n, ctx.d_v)
+        z, trace = descend(QUADRATIC, ctx, z0, DescentConfig(eta=1e30, max_iters=100))
+        assert trace.stop_reason == "stalled"
+        assert not trace.converged and not trace.diverged and trace.iters == 0
+        np.testing.assert_array_equal(z, z0)
+
+    def test_flat_energy_does_not_stall_backtracking(self):
+        # E_R is flat to machine precision long before the gradient reaches
+        # 1e-11 on this instance; deciding acceptance by subtracting two
+        # energies let rounding reject every step until max_iters ran out
+        x, w = gaussian_head_inputs(15, 2, 8, 4, 4)
+        spec = ea.HeadSpec(
+            d=8, d_k=4, d_v=4, form=QUADRATIC,
+            descent=DescentConfig(eta=0.5, max_iters=5000, grad_tol=1e-11),
+            perturb_sigma=0.1, perturb_seed=0,
+        )
+        trace = ea.run_head(x, w, spec).trace
+        fixed = ea.run_head(
+            x, w, replace(spec, descent=replace(spec.descent, backtracking=False))
+        ).trace
+        assert trace.stop_reason == "converged" and trace.converged
+        assert fixed.converged and trace.iters <= fixed.iters
+
+    @pytest.mark.parametrize("clip_norm", [None, 0.005])
+    @pytest.mark.parametrize(
+        "form", [QUADRATIC, polynomial(4), EXPONENTIAL], ids=lambda f: f.label
+    )
+    def test_carried_energy_and_gradient_match_recomputation(self, form, clip_norm):
+        # the loop carries u, E_R and the gradient from step to step; after
+        # 200 steps they must still describe the returned Z
+        x, w = gaussian_head_inputs(3, 16, 8, 4, 4)
+        ctx = ea.build_context(x, w, 4)
+        z0 = ctx.av + 0.5 * ea.GaussianStream(3).matrix(ctx.n, ctx.d_v)
+        cfg = DescentConfig(eta=0.5, max_iters=200, grad_tol=0.0, clip_norm=clip_norm)
+        z, trace = descend(form, ctx, z0, cfg)
+        assert trace.iters == 200
+        if clip_norm is not None:
+            assert trace.grad_norms[0] > clip_norm
+        ev = ea.regularized_energy(form, ctx.a, z, ctx.v)
+        assert abs(trace.energies[-1] - ev.e_r) <= 1e-9 * (1.0 + abs(ev.e_r))
+        assert trace.grad_norms[-1] == pytest.approx(frobenius_norm(ev.grad), rel=1e-6)
+        assert np.all(np.diff(trace.energies) <= 0.0)
 
     def test_backtracking_keeps_energy_monotone_for_convex_forms(self):
         ctx = small_context(seed=8)
@@ -178,4 +249,18 @@ class TestLinearDescent:
 
 def test_trace_dataclass_shape():
     trace = DescentTrace(energies=(1.0,), grad_norms=(0.0,), iters=0, converged=True)
-    assert not trace.diverged
+    assert not trace.diverged and trace.stop_reason == "converged"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"converged": True, "stop_reason": "finished"},
+        {"converged": False},
+        {"converged": False, "diverged": True, "stop_reason": "stalled"},
+        {"converged": True, "stop_reason": "max_iters"},
+    ],
+)
+def test_trace_rejects_inconsistent_stop_reason(kwargs):
+    with pytest.raises(ValueError):
+        DescentTrace(energies=(1.0,), grad_norms=(0.0,), iters=0, **kwargs)
