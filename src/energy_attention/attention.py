@@ -86,13 +86,12 @@ def project(x: np.ndarray, w: ProjectionWeights):
     return x @ w.w_q, x @ w.w_k, x @ w.w_v
 
 
-def scaled_scores(q: np.ndarray, k: np.ndarray, d_k: int) -> np.ndarray:
-    """Score matrix S with S_mj = (q_m . k_j) / sqrt(d_k)."""
-    if d_k < 1:
-        raise ValueError(f"d_k must be a positive integer, got {d_k}")
-    if q.shape[1] != d_k or k.shape[1] != d_k:
+def scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Score matrix S with S_mj = (q_m . k_j) / sqrt(d_k), d_k the columns of q and k."""
+    d_k = q.shape[1]
+    if d_k < 1 or k.shape[1] != d_k:
         raise ShapeError(
-            f"scaled_scores: q {q.shape} and k {k.shape} must both have {d_k} columns"
+            f"scaled_scores: q {q.shape} and k {k.shape} must have the same positive column count"
         )
     return q @ np.ascontiguousarray(k.T) / math.sqrt(d_k)
 
@@ -118,12 +117,10 @@ def attention_output(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return a @ v
 
 
-def build_context(x: np.ndarray, w: ProjectionWeights, d_k: int) -> AttentionContext:
+def build_context(x: np.ndarray, w: ProjectionWeights) -> AttentionContext:
     """Run projections, scores, softmax and output once for a head."""
-    if d_k != w.d_k:
-        raise ShapeError(f"build_context: d_k={d_k} but weights have d_k={w.d_k}")
     q, k, v = project(x, w)
-    a = row_softmax(scaled_scores(q, k, d_k))
+    a = row_softmax(scaled_scores(q, k))
     av = attention_output(a, v)
     for arr in (q, k, v, a, av):
         arr.setflags(write=False)

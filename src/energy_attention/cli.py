@@ -59,9 +59,10 @@ CHECK_TRIALS = 5
 _MATRIX_FILES = (("X", "X.json"), ("W_q", "W_q.json"), ("W_k", "W_k.json"), ("W_v", "W_v.json"))
 
 _REQUIRED_KEYS = {"n", "d", "d_k", "d_v", "form", "seed"}
+# JSON numbers read into float fields; clip_norm may also be null
+_FLOAT_KEYS = {"eta", "grad_tol", "clip_norm", "perturb_sigma"}
 
 _SWEEP_INT_PARAMS = {"n", "d", "d_k", "d_v", "t_max", "p", "seed"}
-_SWEEP_FLOAT_PARAMS = {"eta", "grad_tol", "clip_norm", "perturb_sigma"}
 
 _SWEEP_HEADER = (
     "n,d,d_k,d_v,form,p,eta,t_max,grad_tol,clip_norm,perturb_sigma,seed,"
@@ -153,11 +154,16 @@ def parse_config(obj: dict) -> RunConfig:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     kwargs = dict(obj)
     kwargs["form"] = _parse_form(obj["form"])
-    for key in ("eta", "grad_tol", "perturb_sigma"):
-        if key in kwargs:
-            kwargs[key] = float(kwargs[key])
-    if kwargs.get("clip_norm") is not None:
-        kwargs["clip_norm"] = float(kwargs["clip_norm"])
+    for key in _FLOAT_KEYS & set(obj):
+        value = obj[key]
+        if key == "clip_norm" and value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        try:
+            kwargs[key] = float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{key} is out of the float range: {exc}") from exc
     return RunConfig(**kwargs)
 
 
@@ -182,13 +188,6 @@ def generate_inputs(config: RunConfig):
     everywhere.
     """
     return _draw_inputs(config, GaussianStream(config.seed))
-
-
-def _seeded_instance(config: RunConfig, seed: int):
-    """Context for ``seed``'s problem, plus its stream positioned after W_v."""
-    stream = GaussianStream(seed)
-    x, w = _draw_inputs(config, stream)
-    return build_context(x, w, config.d_k), stream
 
 
 def cmd_gen(config: RunConfig, out_dir) -> list[Path]:
@@ -231,7 +230,7 @@ def cmd_run(config: RunConfig, in_dir, emit_z: bool = False):
     attention context serves them all; only the perturbation noise differs.
     """
     x, w = _load_inputs(config, in_dir)
-    ctx = build_context(x, w, config.d_k)
+    ctx = build_context(x, w)
     entries = []
     any_diverged = False
     for index in range(config.heads):
@@ -257,63 +256,52 @@ def cmd_run(config: RunConfig, in_dir, emit_z: bool = False):
     return {"config": config.to_dict(), "heads": entries}, any_diverged
 
 
-def cmd_gradcheck(config: RunConfig, tol: float = 1e-5, h: float = 1e-6):
-    """Finite-difference gradient checks on seeded instances."""
+def _probe_report(config: RunConfig, check: str, params: dict, probe):
+    """Run ``probe`` on CHECK_TRIALS seeded instances; returns (report, passed).
+
+    Trial t draws the problem for seed ``config.seed + t`` and calls
+    ``probe(ctx, stream)`` with its context and the stream positioned after
+    W_v; the probe returns the trial's fields, "pass" among them.
+    """
     trials = []
     for t in range(CHECK_TRIALS):
         seed = (config.seed + t) % 2**64
-        ctx, stream = _seeded_instance(config, seed)
+        stream = GaussianStream(seed)
+        x, w = _draw_inputs(config, stream)
+        trials.append({"seed": seed, **probe(build_context(x, w), stream)})
+    passed = all(t["pass"] for t in trials)
+    report = {"config": config.to_dict(), "check": check, **params, "trials": trials, "pass": passed}
+    return report, passed
+
+
+def cmd_gradcheck(config: RunConfig, tol: float = 1e-5, h: float = 1e-6):
+    """Finite-difference gradient checks on seeded instances."""
+
+    def probe(ctx, stream):
         z = stream.matrix(config.n, config.d_v)
         report = gradcheck(config.form, ctx.a, ctx.v, z, h=h, tol=tol)
-        trials.append(
-            {
-                "seed": seed,
-                "max_abs_err": report.max_abs_err,
-                "max_rel_err": report.max_rel_err,
-                "worst_index": list(report.worst_index),
-                "pass": report.passed,
-            }
-        )
-    passed = all(t["pass"] for t in trials)
-    return (
-        {
-            "config": config.to_dict(),
-            "check": "gradient",
-            "h": h,
-            "tol": tol,
-            "trials": trials,
-            "pass": passed,
-        },
-        passed,
-    )
+        return {
+            "max_abs_err": report.max_abs_err,
+            "max_rel_err": report.max_rel_err,
+            "worst_index": list(report.worst_index),
+            "pass": report.passed,
+        }
+
+    return _probe_report(config, "gradient", {"h": h, "tol": tol}, probe)
 
 
 def cmd_stationarity(config: RunConfig, tol: float = 1e-8):
     """Gradient-at-AV checks on seeded instances."""
-    trials = []
-    for t in range(CHECK_TRIALS):
-        seed = (config.seed + t) % 2**64
-        ctx, _ = _seeded_instance(config, seed)
+
+    def probe(ctx, stream):
         report = stationarity_check(config.form, ctx.a, ctx.v, tol=tol)
-        trials.append(
-            {
-                "seed": seed,
-                "grad_norm_at_av": report.grad_norm_at_av,
-                "scale": report.scale,
-                "pass": report.passed,
-            }
-        )
-    passed = all(t["pass"] for t in trials)
-    return (
-        {
-            "config": config.to_dict(),
-            "check": "stationarity",
-            "tol": tol,
-            "trials": trials,
-            "pass": passed,
-        },
-        passed,
-    )
+        return {
+            "grad_norm_at_av": report.grad_norm_at_av,
+            "scale": report.scale,
+            "pass": report.passed,
+        }
+
+    return _probe_report(config, "stationarity", {"tol": tol}, probe)
 
 
 def cmd_trace(config: RunConfig, out_csv):
@@ -330,10 +318,10 @@ def cmd_trace(config: RunConfig, out_csv):
 def _parse_sweep_values(param: str, text: str):
     if param in _SWEEP_INT_PARAMS:
         convert = int
-    elif param in _SWEEP_FLOAT_PARAMS:
+    elif param in _FLOAT_KEYS:
         convert = float
     else:
-        allowed = sorted(_SWEEP_INT_PARAMS | _SWEEP_FLOAT_PARAMS)
+        allowed = sorted(_SWEEP_INT_PARAMS | _FLOAT_KEYS)
         raise ConfigError(f"unknown sweep parameter {param!r}; expected one of {allowed}")
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
@@ -400,42 +388,36 @@ def _write_report(report: dict, out_path) -> None:
         sys.stdout.write(body)
 
 
-def _handle_gen(args) -> int:
-    config = load_config(args.config)
+def _handle_gen(config: RunConfig, args) -> int:
     for path in cmd_gen(config, args.out):
         print(path)
     return EXIT_OK
 
 
-def _handle_run(args) -> int:
-    config = load_config(args.config)
+def _handle_run(config: RunConfig, args) -> int:
     report, any_diverged = cmd_run(config, args.in_dir, emit_z=args.emit_z)
     _write_report(report, args.out)
     return EXIT_DIVERGED if any_diverged else EXIT_OK
 
 
-def _handle_gradcheck(args) -> int:
-    config = load_config(args.config)
+def _handle_gradcheck(config: RunConfig, args) -> int:
     report, passed = cmd_gradcheck(config, tol=args.tol, h=args.h)
     _write_report(report, args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _handle_stationarity(args) -> int:
-    config = load_config(args.config)
+def _handle_stationarity(config: RunConfig, args) -> int:
     report, passed = cmd_stationarity(config, tol=args.tol)
     _write_report(report, args.out)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _handle_trace(args) -> int:
-    config = load_config(args.config)
+def _handle_trace(config: RunConfig, args) -> int:
     out = cmd_trace(config, args.out)
     return EXIT_DIVERGED if out.trace.diverged else EXIT_OK
 
 
-def _handle_sweep(args) -> int:
-    config = load_config(args.config)
+def _handle_sweep(config: RunConfig, args) -> int:
     values = _parse_sweep_values(args.param, args.values)
     cmd_sweep(config, args.param, values, args.out)
     return EXIT_OK
@@ -491,7 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # every subcommand reads its config first
+        return args.handler(load_config(args.config), args)
     except ExpOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -97,22 +97,25 @@ class DescentTrace:
 
     energies: tuple[float, ...]
     grad_norms: tuple[float, ...]
-    iters: int
-    converged: bool
-    diverged: bool = False
-    stop_reason: str = "converged"
+    stop_reason: str
 
     def __post_init__(self):
         if self.stop_reason not in _STOP_REASONS:
             raise ValueError(
                 f"stop_reason must be one of {_STOP_REASONS}, got {self.stop_reason!r}"
             )
-        flags = (self.stop_reason == "converged", self.stop_reason == "diverged")
-        if (self.converged, self.diverged) != flags:
-            raise ValueError(
-                f"stop_reason {self.stop_reason!r} contradicts "
-                f"converged={self.converged}, diverged={self.diverged}"
-            )
+
+    @property
+    def iters(self) -> int:
+        return len(self.energies) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
+
+    @property
+    def diverged(self) -> bool:
+        return self.stop_reason == "diverged"
 
 
 def _clipped(grad: np.ndarray, grad_norm: float, clip_norm: float | None) -> np.ndarray:
@@ -222,15 +225,7 @@ def _descend_loop(
         elif rising_run >= _DIVERGENCE_WINDOW:
             stop = "diverged"
 
-    trace = DescentTrace(
-        energies=tuple(energies),
-        grad_norms=tuple(grad_norms),
-        iters=len(energies) - 1,
-        converged=stop == "converged",
-        diverged=stop == "diverged",
-        stop_reason=stop,
-    )
-    return z, trace
+    return z, DescentTrace(tuple(energies), tuple(grad_norms), stop)
 
 
 def descend(

@@ -6,10 +6,10 @@ the descent at Z0 = AV, which is already stationary for every form, so the
 unperturbed run converges at iteration 0; setting ``perturb_sigma`` > 0
 adds seeded Gaussian noise to Z0 to make the dynamics observable.
 
-``solve_head`` does the work from an already built context, so heads that
-share tokens and weights (every head of one ``run`` command) build the
-context once; ``run_head`` and friends check their inputs, build a
-context and call it.
+``run_head`` is the one entry point from tokens and weights: it builds the
+head's context and calls ``solve_head``, which does the work from a built
+context. Heads that share tokens and weights (every head of one ``run``
+command) build the context once and call ``solve_head`` for each.
 """
 
 from __future__ import annotations
@@ -25,15 +25,7 @@ from .energy import EnergyForm, linear_energy
 from .linalg import ShapeError
 from .rng import GaussianStream
 
-__all__ = [
-    "HeadSpec",
-    "HeadOutput",
-    "solve_head",
-    "linear_head",
-    "nonlinear_head",
-    "run_head",
-    "multi_head",
-]
+__all__ = ["HeadSpec", "HeadOutput", "solve_head", "run_head"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +44,9 @@ class HeadSpec:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.perturb_sigma) and self.perturb_sigma >= 0):
             raise ValueError(f"perturb_sigma must be finite and >= 0, got {self.perturb_sigma}")
+        seed = self.perturb_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+            raise ValueError(f"perturb_seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -59,16 +54,6 @@ class HeadOutput:
     z: np.ndarray
     trace: DescentTrace
     context: AttentionContext
-
-
-def _check_head_input(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec):
-    if x.shape[1] != spec.d:
-        raise ShapeError(f"tokens {x.shape} do not match head embedding dim d={spec.d}")
-    if w.d != spec.d or w.d_k != spec.d_k or w.d_v != spec.d_v:
-        raise ShapeError(
-            f"weights (d={w.d}, d_k={w.d_k}, d_v={w.d_v}) do not match head spec "
-            f"(d={spec.d}, d_k={spec.d_k}, d_v={spec.d_v})"
-        )
 
 
 def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
@@ -89,8 +74,7 @@ def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
         trace = DescentTrace(
             energies=(linear_energy(z, ctx.a, ctx.v),),
             grad_norms=(0.0,),
-            iters=0,
-            converged=True,
+            stop_reason="converged",
         )
         return HeadOutput(z=z, trace=trace, context=ctx)
     z0 = ctx.av
@@ -101,45 +85,8 @@ def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
     return HeadOutput(z=z, trace=trace, context=ctx)
 
 
-def _head_context(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> AttentionContext:
-    _check_head_input(x, w, spec)
-    return build_context(x, w, spec.d_k)
-
-
-def linear_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
-    """Closed-form head: Z = AV, no descent iterations."""
-    if spec.form.kind != "linear":
-        raise ValueError(f"linear_head requires the linear form, got {spec.form.label}")
-    return solve_head(_head_context(x, w, spec), spec)
-
-
-def nonlinear_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
-    """Iterative head: descend the regularized energy from Z0 = AV (+ noise).
-
-    A linear form gets the closed-form head.
-    """
-    return solve_head(_head_context(x, w, spec), spec)
-
-
 def run_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
-    """Check the inputs, build the head's context and solve it."""
-    return solve_head(_head_context(x, w, spec), spec)
-
-
-def multi_head(x: np.ndarray, heads) -> np.ndarray:
-    """Concatenate independent head outputs along the feature axis.
-
-    ``heads`` is a sequence of (ProjectionWeights, HeadSpec) pairs that all
-    share the token matrix and its embedding dimension.
-    """
-    heads = list(heads)
-    if not heads:
-        raise ValueError("multi_head requires at least one head")
-    for w, spec in heads:
-        if spec.d != x.shape[1]:
-            raise ShapeError(
-                f"head expects d={spec.d} but tokens are {x.shape}; "
-                "all heads must share the input embedding dimension"
-            )
-    outputs = [run_head(x, w, spec).z for w, spec in heads]
-    return np.concatenate(outputs, axis=1)
+    """Build the head's context from tokens and weights and solve it."""
+    if w.d != spec.d:
+        raise ShapeError(f"weights have d={w.d} but the head spec has d={spec.d}")
+    return solve_head(build_context(x, w), spec)

@@ -34,13 +34,17 @@ def load_matrix(path):
     """Read one matrix file; returns (name, matrix)."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     required = {"name", "rows", "cols", "data"}
-    if set(obj) != required:
-        raise ValueError(f"{path}: matrix file must have exactly the keys {sorted(required)}")
-    rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if not isinstance(obj, dict) or set(obj) != required:
+        raise ValueError(f"{path}: matrix file must be an object with the keys {sorted(required)}")
+    rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (rows, cols)):
         raise ValueError(f"{path}: rows/cols must be positive integers")
-    data = obj["data"]
+    if not isinstance(data, list):
+        raise ValueError(f"{path}: data must be a list")
     if len(data) != rows * cols:
         raise ValueError(f"{path}: data length {len(data)} != rows*cols = {rows * cols}")
-    m = as_matrix(np.array(data, dtype=np.float64).reshape(rows, cols), obj["name"])
-    return obj["name"], m
+    try:
+        values = np.array(data, dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"{path}: data must hold numbers: {exc}") from exc
+    return obj["name"], as_matrix(values.reshape(rows, cols), obj["name"])

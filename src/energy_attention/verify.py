@@ -19,9 +19,9 @@ import numpy as np
 
 from .energy import (
     EXP_ARG_LIMIT,
+    EnergyEval,
     EnergyForm,
     ExpOverflowError,
-    grad_unregularized,
     reg_coeffs,
     regularized_energy,
 )
@@ -31,7 +31,6 @@ __all__ = [
     "BRUTE_FORCE_MAX_N",
     "GradCheckReport",
     "StationarityReport",
-    "BruteForceEval",
     "fd_gradient",
     "compare_gradients",
     "gradcheck",
@@ -57,16 +56,6 @@ class StationarityReport:
     grad_norm_at_av: float
     scale: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class BruteForceEval:
-    u: np.ndarray
-    c: np.ndarray
-    e: float
-    r: float
-    e_r: float
-    grad: np.ndarray
 
 
 def fd_gradient(energy_fn, z: np.ndarray, h: float) -> np.ndarray:
@@ -134,18 +123,10 @@ def stationarity_check(
     a: np.ndarray,
     v: np.ndarray,
     tol: float = 1e-8,
-    regularized: bool = True,
 ) -> StationarityReport:
-    """Gradient norm at Z = AV against tol * (1 + ||AV||_F).
-
-    With ``regularized=False`` the probe evaluates the raw energy gradient
-    instead, which does not vanish at AV for the non-linear forms.
-    """
+    """Norm of grad E_R at Z = AV against tol * (1 + ||AV||_F)."""
     av = a @ v
-    if regularized:
-        grad = regularized_energy(form, a, av, v, c=reg_coeffs(a, v)).grad
-    else:
-        grad = grad_unregularized(form, a, av, v)
+    grad = regularized_energy(form, a, av, v, c=reg_coeffs(a, v)).grad
     grad_norm = frobenius_norm(grad)
     scale = 1.0 + frobenius_norm(av)
     return StationarityReport(
@@ -175,7 +156,7 @@ def _scalar_form(form: EnergyForm):
 
 def bruteforce_energy(
     form: EnergyForm, a: np.ndarray, z: np.ndarray, v: np.ndarray
-) -> BruteForceEval:
+) -> EnergyEval:
     """Literal index-sum evaluation of u, c, E, R, E_R and grad E_R.
 
     Quadruple loops over plain Python floats; no matrix shortcuts. Ground
@@ -223,6 +204,6 @@ def bruteforce_energy(
                 total += (fp(u[j]) - fp(c[j])) * aw[i][j] * vl[j][k]
             grad[i][k] = total
 
-    return BruteForceEval(
+    return EnergyEval(
         u=np.array(u), c=np.array(c), e=e, r=r, e_r=e + r, grad=np.array(grad)
     )

@@ -53,7 +53,7 @@ def wellconditioned_head_seeds(count, threshold=60.0):
         n = 2 + seed % 15
         d_v = 1 + seed % 4
         x, w = gaussian_head_inputs(seed, n, 8, 4, d_v)
-        ctx = ea.build_context(x, w, 4)
+        ctx = ea.build_context(x, w)
         if curvature_condition(ctx) <= threshold:
             picked.append((seed, n, d_v))
         seed += 1

@@ -56,19 +56,23 @@ class TestProjectionWeights:
 
 class TestScaledScores:
     def test_zero_scores(self):
-        assert not scaled_scores(np.zeros((2, 4)), np.zeros((2, 4)), 4).any()
+        assert not scaled_scores(np.zeros((2, 4)), np.zeros((2, 4))).any()
 
     def test_all_ones(self):
         q = np.ones((2, 4))
-        np.testing.assert_allclose(scaled_scores(q, q, 4), np.full((2, 2), 2.0))
+        np.testing.assert_allclose(scaled_scores(q, q), np.full((2, 2), 2.0))
 
     def test_orthogonal(self):
-        s = scaled_scores(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 2)
+        s = scaled_scores(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
         np.testing.assert_array_equal(s, [[0.0]])
 
     def test_zero_dk_rejected(self):
-        with pytest.raises(ValueError):
-            scaled_scores(np.zeros((1, 1)), np.zeros((1, 1)), 0)
+        with pytest.raises(ShapeError):
+            scaled_scores(np.zeros((1, 0)), np.zeros((1, 0)))
+
+    def test_column_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            scaled_scores(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestRowSoftmax:
@@ -113,32 +117,27 @@ class TestBuildContext:
     def test_single_token_attends_to_itself(self):
         x = np.array([[0.3, -1.2]])
         w = weights(np.eye(2), np.eye(2), [[1.0], [2.0]])
-        ctx = build_context(x, w, 2)
+        ctx = build_context(x, w)
         np.testing.assert_array_equal(ctx.a, [[1.0]])
 
     def test_zero_tokens_give_uniform_attention(self):
         w = weights(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 1)))
-        ctx = build_context(np.zeros((3, 2)), w, 2)
+        ctx = build_context(np.zeros((3, 2)), w)
         np.testing.assert_allclose(ctx.a, np.full((3, 3), 1.0 / 3.0))
         assert not ctx.av.any()
 
     def test_seeded_rows_sum_to_one(self):
         x, w = gaussian_head_inputs(5, 4, 8, 2, 2)
-        ctx = build_context(x, w, 2)
+        ctx = build_context(x, w)
         row_sums = np.array([sum(ctx.a[i, j] for j in range(4)) for i in range(4)])
         np.testing.assert_allclose(row_sums, 1.0, atol=1e-12)
         np.testing.assert_allclose(ctx.av, ctx.a @ ctx.v, atol=1e-12)
 
     def test_context_is_read_only(self):
         x, w = gaussian_head_inputs(5, 4, 8, 2, 2)
-        ctx = build_context(x, w, 2)
+        ctx = build_context(x, w)
         with pytest.raises(ValueError):
             ctx.av[0, 0] = 1.0
-
-    def test_dk_weight_mismatch(self):
-        x, w = gaussian_head_inputs(5, 4, 8, 2, 2)
-        with pytest.raises(ShapeError):
-            build_context(x, w, 3)
 
 
 @given(
@@ -200,6 +199,6 @@ def test_output_rows_stay_in_value_hull(seed):
 
 def test_context_dataclass_accessors():
     x, w = gaussian_head_inputs(9, 3, 8, 2, 2)
-    ctx = build_context(x, w, 2)
+    ctx = build_context(x, w)
     assert isinstance(ctx, AttentionContext)
     assert ctx.n == 3 and ctx.d_v == 2

@@ -208,6 +208,34 @@ class TestRun:
         code = run_cli("run", "--config", str(bad), "--in", str(tmp_path), "--out", str(tmp_path / "r.json"))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"eta": [1]}, {"eta": True}, {"eta": 10**400}, {"grad_tol": None}, {"clip_norm": {}}],
+    )
+    def test_mistyped_config_exits_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, **override)
+        code = run_cli("run", "--config", str(cfg), "--in", str(tmp_path), "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '[["a"]]',
+            '{"name": "X", "rows": 4, "cols": 8, "data": {"a": 1}}',
+            '{"name": "X", "rows": true, "cols": 8, "data": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]}',
+        ],
+    )
+    def test_malformed_matrix_file_exits_2(self, tmp_path, capsys, body):
+        cfg = write_config(tmp_path)
+        data = tmp_path / "data"
+        run_cli("gen", "--config", str(cfg), "--out", str(data))
+        (data / "X.json").write_text(body)
+        capsys.readouterr()
+        code = run_cli("run", "--config", str(cfg), "--in", str(data), "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_exponential_overflow_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, form={"kind": "exponential"}, perturb_sigma=1e6)
         data = tmp_path / "data"

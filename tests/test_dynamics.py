@@ -15,7 +15,7 @@ ALL_FORMS = [ea.LINEAR, QUADRATIC, polynomial(1), polynomial(3), EXPONENTIAL]
 
 def small_context(seed=5, n=4, d=8, d_k=2, d_v=2):
     x, w = gaussian_head_inputs(seed, n, d, d_k, d_v)
-    return ea.build_context(x, w, d_k)
+    return ea.build_context(x, w)
 
 
 def hand_context():
@@ -103,7 +103,7 @@ class TestDescend:
     def test_perturbed_quadratic_recovers_stationarity(self):
         seed, n, d_v = wellconditioned_head_seeds(1)[0]
         x, w = gaussian_head_inputs(seed, n, 8, 4, d_v)
-        ctx = ea.build_context(x, w, 4)
+        ctx = ea.build_context(x, w)
         z0 = ctx.av + 0.1 * ea.GaussianStream(99).matrix(n, d_v)
         cfg = DescentConfig(eta=0.1, max_iters=500, grad_tol=1e-6)
         z, trace = descend(QUADRATIC, ctx, z0, cfg)
@@ -201,7 +201,7 @@ class TestDescend:
         # the loop carries u, E_R and the gradient from step to step; after
         # 200 steps they must still describe the returned Z
         x, w = gaussian_head_inputs(3, 16, 8, 4, 4)
-        ctx = ea.build_context(x, w, 4)
+        ctx = ea.build_context(x, w)
         z0 = ctx.av + 0.5 * ea.GaussianStream(3).matrix(ctx.n, ctx.d_v)
         cfg = DescentConfig(eta=0.5, max_iters=200, grad_tol=0.0, clip_norm=clip_norm)
         z, trace = descend(form, ctx, z0, cfg)
@@ -248,19 +248,24 @@ class TestLinearDescent:
 
 
 def test_trace_dataclass_shape():
-    trace = DescentTrace(energies=(1.0,), grad_norms=(0.0,), iters=0, converged=True)
-    assert not trace.diverged and trace.stop_reason == "converged"
+    trace = DescentTrace(energies=(1.0,), grad_norms=(0.0,), stop_reason="converged")
+    assert trace.iters == 0 and trace.converged and not trace.diverged
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "stop_reason, converged, diverged",
     [
-        {"converged": True, "stop_reason": "finished"},
-        {"converged": False},
-        {"converged": False, "diverged": True, "stop_reason": "stalled"},
-        {"converged": True, "stop_reason": "max_iters"},
+        ("converged", True, False),
+        ("max_iters", False, False),
+        ("diverged", False, True),
+        ("stalled", False, False),
     ],
 )
-def test_trace_rejects_inconsistent_stop_reason(kwargs):
+def test_trace_flags_follow_stop_reason(stop_reason, converged, diverged):
+    trace = DescentTrace(energies=(3.0, 2.0, 1.0), grad_norms=(1.0, 0.5, 0.25), stop_reason=stop_reason)
+    assert (trace.iters, trace.converged, trace.diverged) == (2, converged, diverged)
+
+
+def test_trace_rejects_unknown_stop_reason():
     with pytest.raises(ValueError):
-        DescentTrace(energies=(1.0,), grad_norms=(0.0,), iters=0, **kwargs)
+        DescentTrace(energies=(1.0,), grad_norms=(0.0,), stop_reason="finished")

@@ -48,3 +48,20 @@ def test_nonfinite_entries_rejected(tmp_path):
     path.write_text('{"name": "X", "rows": 1, "cols": 2, "data": [1.0, 1e999]}')
     with pytest.raises(ValueError):
         load_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        '[["a"]]',
+        '{"name": "X", "rows": 1, "cols": 1, "data": {"a": 1}}',
+        '{"name": "X", "rows": true, "cols": 1, "data": [1.0]}',
+        '{"name": "X", "rows": 1, "cols": 1, "data": [{}]}',
+        '{"name": "X", "rows": 1, "cols": 1, "data": ["a"]}',
+    ],
+)
+def test_malformed_file_rejected(tmp_path, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    with pytest.raises(ValueError):
+        load_matrix(path)
