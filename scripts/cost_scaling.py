@@ -4,11 +4,13 @@ count n and fit its growth exponent.
 
 Each size is timed as best-of-k wall time of ``run_head`` at two iteration
 budgets; their difference divided by the extra iterations is the cost of
-one iteration, so problem generation, the perturbation noise and the
-attention context, which every run pays once, drop out. One iteration
-forms the gradient and the step's image in score space, two products
-with A in O(n^2 d_v), so at n >= 256, where that work outweighs the
-per-call overhead, the fit should sit near 2, not 3.
+one iteration. Problem generation, the perturbation noise, the attention
+context and the n x n Gram matrix B = (A^T A) o (V V^T), which every run
+forms once (B in O(n^3) on its first step), drop out. One iteration is
+one product B w in O(n^2) plus a fixed ~0.05 ms of Python and O(n) work,
+so the fit approaches 2 only where the product dominates, from n ~ 1024;
+over the default sizes it read 1.46 on a 2-vCPU VM (1.67 over
+512,1024,2048 with --iters 5,105).
 
 Example:
     python scripts/cost_scaling.py --sizes 256,512,1024,2048 --repeats 5
@@ -45,7 +47,7 @@ def per_iteration_cost(n, d, d_k, d_v, iters, repeats):
     times = []
     for max_iters in iters:
         # a tiny fixed step with no tolerance stop runs exactly max_iters
-        # iterations of two products with A each (gradient and score image)
+        # iterations of one product with B each
         spec = ea.HeadSpec(
             d=d, d_k=d_k, d_v=d_v, form=ea.QUADRATIC,
             descent=ea.DescentConfig(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +63,12 @@ class ProjectionWeights:
 
 @dataclass(frozen=True)
 class AttentionContext:
-    """Per-head bundle (Q, K, V, A, AV), read-only after construction."""
+    """Per-head bundle (Q, K, V, A, AV), read-only after construction.
+
+    ``gram`` is B = (A^T A) o (V V^T) = L L^T for the linear score map L of
+    the energy; it is formed on first use and kept, so heads that share a
+    context share it and heads that never step never form it.
+    """
 
     q: np.ndarray
     k: np.ndarray
@@ -77,6 +83,13 @@ class AttentionContext:
     @property
     def d_v(self) -> int:
         return self.v.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        b = self.a.T @ self.a
+        b *= self.v @ self.v.T
+        b.setflags(write=False)
+        return b
 
 
 def project(x: np.ndarray, w: ProjectionWeights):
@@ -93,7 +106,9 @@ def scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"scaled_scores: q {q.shape} and k {k.shape} must have the same positive column count"
         )
-    return q @ np.ascontiguousarray(k.T) / math.sqrt(d_k)
+    s = q @ np.ascontiguousarray(k.T)
+    s /= math.sqrt(d_k)
+    return s
 
 
 def row_softmax(s: np.ndarray) -> np.ndarray:
@@ -101,11 +116,12 @@ def row_softmax(s: np.ndarray) -> np.ndarray:
 
     The shift leaves each row's distribution unchanged while keeping every
     exponent <= 0, so entries stay representable for arbitrarily large
-    scores.
+    scores. It works in one fresh n x n buffer and leaves ``s`` unchanged.
     """
-    shifted = s - s.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = s - s.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def attention_output(a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""Gradient-descent dynamics on the regularized energy, line-searched in u-space.
+"""Gradient-descent dynamics on the regularized energy, stepped in score space.
 
 The update is Z <- Z - eta * grad E_R(Z), with optional gradient clipping.
-E_R depends on Z only through the alignment scores u = L(Z), and L is
-linear, so a step moves the scores to u(Z - a g) = u - a L(g). An accepted
-step therefore costs two products with A: the gradient
-A diag(F'(u) - F'(c)) V at the current scores, and the image delta = L(g)
-of the (clipped) step. A line-search trial at step size a costs O(n): with
-h = a delta its energy change is
+E_R depends on Z only through the alignment scores u = L(Z), L linear, and
+its gradient is L^T w with the score weights w = F'(u) - F'(c). A step of
+size a with clip factor s moves the scores to u - a s B w, where
+B = L L^T = (A^T A) o (V V^T) is the context's n x n Gram matrix, so an
+accepted step costs one product B w, which also gives the next gradient
+norm sqrt(w^T B w). Z is formed once, as Z0 - A diag(sum_t a_t s_t w_t) V.
+A stop is decided at that formed Z, on its explicit gradient norm; if
+that norm is above grad_tol the run steps on. A line-search trial at step
+size a costs O(n): with h = a s B w its energy change is
 
     dE = sum_j [F(u_j - h_j) - F(u_j) + F'(u_j) h_j] - sum_j (F'(u_j) - F'(c_j)) h_j,
 
@@ -14,8 +17,7 @@ where the bracket is formed per form without subtracting two energies
 (h^2 for the quadratic, e^u (expm1(-h) + h) for the exponential, the
 binomial tail of (u - h)^p for polynomials). dE thus carries rounding error
 proportional to the step, not to |E_R|, and a trial is accepted on
-dE <= 0. The scores (O(n)) and Z (O(n d_v)) are updated only on an accepted
-step; the recorded energies are the exact E_R(Z0) plus the accepted
+dE <= 0. The recorded energies are the exact E_R(Z0) plus the accepted
 changes, so with backtracking they never increase.
 
 By default the step size backtracks: a working eta starts at the configured
@@ -27,14 +29,13 @@ consecutive iterations (or goes non-finite) is stopped and flagged as
 diverged.
 
 ``linear_descent`` runs the same loop on the linear functional
--<Z, AV> + 0.5 <Z, Z>, whose scores are Z itself (L is the identity).
+-<Z, AV> + 0.5 <Z, Z>, whose scores are Z itself (L and B are the identity).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -118,12 +119,6 @@ class DescentTrace:
         return self.stop_reason == "diverged"
 
 
-def _clipped(grad: np.ndarray, grad_norm: float, clip_norm: float | None) -> np.ndarray:
-    if clip_norm is not None and grad_norm > clip_norm:
-        return grad * (clip_norm / grad_norm)
-    return grad
-
-
 def _form_remainder(form: EnergyForm, u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """F(u - h) - F(u) + F'(u) h per score, without subtracting F values."""
     if form.kind == "quadratic":
@@ -156,44 +151,47 @@ def _line_search(remainder, u, delta, slope, eta, config):
     return eta, None
 
 
-def _descend_loop(
-    z: np.ndarray,
-    u: np.ndarray,
-    e: float,
-    w: np.ndarray,
-    grad: np.ndarray,
-    gradient: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    image: Callable[[np.ndarray], np.ndarray],
-    remainder: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    config: DescentConfig,
-):
-    """Shared loop for the regularized and linear dynamics.
+def _descend_loop(z0, u, e, grad, scores, weights, gram, lift, remainder, config):
+    """Shared loop for the regularized and linear dynamics; returns (Z, trace).
 
-    The iterate is Z, its scores u = L(Z), its energy e, the score weights
-    w = dE/du and the state gradient grad = L^T w. ``gradient(u)`` gives
-    (w, grad) at new scores, ``image(step)`` gives L(step), and
-    ``remainder(u, h)`` the per-score energy change beyond first order when
-    the scores move by -h. Overflow after the start marks the trace
-    diverged.
+    The iterate is held as its scores u = scores(Z), energy e and score
+    weights w = weights(u), with gradient lift(w) (``grad`` at Z0);
+    ``gram(w)`` is B w and ``remainder(u, h)`` the per-score energy change
+    beyond first order when the scores move by -h. Overflow after the start
+    marks the trace diverged.
     """
+    w = weights(u)
     with np.errstate(over="ignore"):
         grad_norm = frobenius_norm(grad)
-    energies = [e]
-    grad_norms = [grad_norm]
-    stop = None
-    if not np.isfinite(grad_norm):
-        stop = "diverged"
-    elif grad_norm <= config.grad_tol:
-        stop = "converged"
+    energies, grad_norms = [e], [grad_norm]
+    z, bw, moved = z0, None, np.zeros_like(w)  # z is None once a step moved it
+    stop = None if math.isfinite(grad_norm) else "diverged"
     rising_run = 0
     eta = config.eta
 
+    def formed():
+        # carried scores drift from the formed Z's by B's rounding times
+        # |moved|, and sqrt(w^T B w) loses digits as ||L^T w|| shrinks
+        z = z0 - lift(moved)
+        u = scores(z)
+        w = weights(u)
+        with np.errstate(over="ignore"):
+            return z, u, w, frobenius_norm(lift(w))
+
     while stop is None:
-        if len(energies) > config.max_iters:
-            stop = "max_iters"
+        over_budget = len(energies) > config.max_iters
+        if z is None and (grad_norm <= config.grad_tol or over_budget):
+            z, u, w, grad_norm = formed()
+            grad_norms[-1], bw = grad_norm, None
+        if grad_norm <= config.grad_tol or over_budget:
+            stop = "converged" if grad_norm <= config.grad_tol else "max_iters"
             break
-        step = _clipped(grad, grad_norm, config.clip_norm)
-        delta = image(step)
+        if bw is None:
+            bw = gram(w)
+        clip = 1.0
+        if config.clip_norm is not None and grad_norm > config.clip_norm:
+            clip = config.clip_norm / grad_norm
+        delta = clip * bw
         # inf/nan from a wild step flag divergence below; keep numpy quiet
         # instead of warning on the way there
         with np.errstate(over="ignore", invalid="ignore"):
@@ -203,28 +201,29 @@ def _descend_loop(
                 break
             u_next = u - eta * delta
             e_next = e + de
-            w_next, grad_next = gradient(u_next)
-            next_norm = frobenius_norm(grad_next)
-        # a gradient with finite entries can still overflow in norm during
-        # an energy runaway; reject that iterate the same way
+            w_next = weights(u_next)
+            bw_next = gram(w_next)
+            next_norm = math.sqrt(max(float((w_next * bw_next).sum()), 0.0))
+        # the norm can still overflow during an energy runaway; reject that
+        # iterate the same way
         if not (math.isfinite(e_next) and math.isfinite(next_norm)):
             stop = "diverged"
             break
 
-        z = z - eta * step
+        moved += (eta * clip) * w
         if config.backtracking and de < 0:
             # warm restart: grow the working step again after a clean
             # decrease so stiff and flat curvature regimes both progress
             eta *= 2.0
         rising_run = rising_run + 1 if de > 0 else 0
-        u, e, w, grad, grad_norm = u_next, e_next, w_next, grad_next, next_norm
+        z, u, e, w, bw, grad_norm = None, u_next, e_next, w_next, bw_next, next_norm
         energies.append(e)
         grad_norms.append(grad_norm)
-        if grad_norm <= config.grad_tol:
-            stop = "converged"
-        elif rising_run >= _DIVERGENCE_WINDOW:
+        if rising_run >= _DIVERGENCE_WINDOW:
             stop = "diverged"
 
+    if z is None:
+        z, _, _, grad_norms[-1] = formed()
     return z, DescentTrace(tuple(energies), tuple(grad_norms), stop)
 
 
@@ -240,19 +239,12 @@ def descend(
     c = reg_coeffs(a, v)
     fp_c = f_prime(form, c)
     start = regularized_energy(form, a, z0, v, c=c)
-
-    def gradient(u):
-        w = f_prime(form, u) - fp_c
-        return w, a @ (v * w[:, None])
-
     return _descend_loop(
-        z0,
-        start.u,
-        start.e_r,
-        f_prime(form, start.u) - fp_c,
-        start.grad,
-        gradient,
-        lambda step: alignment_scores(a, step, v),
+        z0, start.u, start.e_r, start.grad,
+        lambda z: alignment_scores(a, z, v),
+        lambda u: f_prime(form, u) - fp_c,
+        lambda w: ctx.gram @ w,
+        lambda w: a @ (v * w[:, None]),
         lambda u, h: _form_remainder(form, u, h),
         config,
     )
@@ -260,18 +252,9 @@ def descend(
 
 def linear_descent(ctx: AttentionContext, z0: np.ndarray, config: DescentConfig):
     """Descent on the linear functional; contracts to AV for 0 < eta < 2."""
-
-    def gradient(z):
-        w = z - ctx.av
-        return w, w
-
     return _descend_loop(
-        z0,
-        z0,
-        linear_energy(z0, ctx.a, ctx.v),
-        *gradient(z0),
-        gradient,
-        lambda step: step,
+        z0, z0, linear_energy(z0, ctx.a, ctx.v), z0 - ctx.av,
+        lambda z: z, lambda z: z - ctx.av, lambda w: w, lambda w: w,
         lambda z, h: 0.5 * h * h,
         config,
     )

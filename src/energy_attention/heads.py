@@ -86,7 +86,10 @@ def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
 
 
 def run_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
-    """Build the head's context from tokens and weights and solve it."""
-    if w.d != spec.d:
-        raise ShapeError(f"weights have d={w.d} but the head spec has d={spec.d}")
+    """Check the weights against the spec, then build the context and solve it."""
+    if (w.d, w.d_k, w.d_v) != (spec.d, spec.d_k, spec.d_v):
+        raise ShapeError(
+            f"weights (d={w.d}, d_k={w.d_k}, d_v={w.d_v}) do not match the head spec "
+            f"(d={spec.d}, d_k={spec.d_k}, d_v={spec.d_v})"
+        )
     return solve_head(build_context(x, w), spec)

@@ -31,7 +31,13 @@ def save_matrix(path, name: str, m: np.ndarray) -> None:
 
 
 def load_matrix(path):
-    """Read one matrix file; returns (name, matrix)."""
+    """Read one matrix file; returns (name, matrix).
+
+    ``data`` must be a flat list of numbers (integers within 64 bits), as
+    judged by the dtype numpy infers for the whole list, not entry by
+    entry. So a list mixing numbers and booleans is still promoted:
+    ``[1.5, true]`` loads as ``[1.5, 1.0]``.
+    """
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     required = {"name", "rows", "cols", "data"}
     if not isinstance(obj, dict) or set(obj) != required:
@@ -44,7 +50,9 @@ def load_matrix(path):
     if len(data) != rows * cols:
         raise ValueError(f"{path}: data length {len(data)} != rows*cols = {rows * cols}")
     try:
-        values = np.array(data, dtype=np.float64)
-    except TypeError as exc:
-        raise ValueError(f"{path}: data must hold numbers: {exc}") from exc
+        values = np.asarray(data)
+    except ValueError:  # nested lists of unequal lengths
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: data must be a flat list of numbers")
     return obj["name"], as_matrix(values.reshape(rows, cols), obj["name"])

@@ -13,6 +13,7 @@ from energy_attention.attention import (
     row_softmax,
     scaled_scores,
 )
+from energy_attention.energy import alignment_scores
 from energy_attention.linalg import ShapeError
 
 from helpers import gaussian_head_inputs
@@ -92,6 +93,16 @@ class TestRowSoftmax:
         assert np.isfinite(a).all()
         assert a.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_matches_three_temporary_form_and_keeps_input(self):
+        rng = np.random.default_rng(0)
+        for shape, scale in (((1, 1), 1.0), ((5, 7), 3.0), ((64, 64), 40.0), ((3, 9), 1e300)):
+            s = rng.standard_normal(shape) * scale
+            before = s.copy()
+            shifted = s - s.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            assert np.array_equal(row_softmax(s), e / e.sum(axis=1, keepdims=True))
+            assert np.array_equal(s, before)
+
 
 class TestAttentionOutput:
     def test_identity_weights(self):
@@ -138,6 +149,32 @@ class TestBuildContext:
         ctx = build_context(x, w)
         with pytest.raises(ValueError):
             ctx.av[0, 0] = 1.0
+
+
+class TestGram:
+    @pytest.mark.parametrize("n, d_v", [(1, 1), (2, 4), (7, 3), (16, 16)])
+    def test_equals_score_map_times_its_adjoint(self, n, d_v):
+        # column j of B = L L^T is L applied to L^T e_j = A diag(e_j) V
+        x, w = gaussian_head_inputs(n + d_v, n, 8, 4, d_v)
+        ctx = build_context(x, w)
+        columns = [
+            alignment_scores(ctx.a, ctx.a @ (ctx.v * e_j[:, None]), ctx.v)
+            for e_j in np.eye(n)
+        ]
+        expected = np.stack(columns, axis=1)
+        scale = np.abs(expected).max()
+        assert np.abs(ctx.gram - expected).max() <= 1e-13 * scale
+
+    def test_symmetric_read_only_and_formed_once(self):
+        x, w = gaussian_head_inputs(3, 9, 8, 4, 2)
+        ctx = build_context(x, w)
+        assert "gram" not in ctx.__dict__
+        b = ctx.gram
+        assert np.array_equal(b, b.T)
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0] = 1.0
+        assert ctx.gram is b
 
 
 @given(

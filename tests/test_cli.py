@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import energy_attention
 from energy_attention import cli
-from energy_attention.attention import build_context
+from energy_attention.attention import AttentionContext, build_context
 from energy_attention.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DIVERGED,
@@ -236,6 +237,28 @@ class TestRun:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            ["1.5", True] + [0.0] * 30,
+            [True, False] * 16,
+            [0.0] * 31 + [None],
+            [[0.0]] * 32,
+            [[0.0, 0.0]] + [[0.0]] * 31,
+        ],
+        ids=["string-and-bool", "all-bool", "null", "nested", "ragged"],
+    )
+    def test_non_numeric_matrix_entries_exit_2(self, tmp_path, capsys, data):
+        # the right length for X (4 x 8), so only the entries are at fault
+        cfg = write_config(tmp_path)
+        run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "data"))
+        body = {"name": "X", "rows": 4, "cols": 8, "data": data}
+        (tmp_path / "data" / "X.json").write_text(json.dumps(body))
+        capsys.readouterr()
+        code = run_cli("run", "--config", str(cfg), "--in", str(tmp_path / "data"), "--out", str(tmp_path / "r.json"))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_exponential_overflow_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, form={"kind": "exponential"}, perturb_sigma=1e6)
         data = tmp_path / "data"
@@ -294,6 +317,23 @@ class TestRun:
             assert entry["energy_initial"] == alone.trace.energies[0]
             assert entry["energy_final"] == alone.trace.energies[-1]
             assert entry["z"]["data"] == alone.z.ravel().tolist()
+
+    def test_heads_share_one_gram_matrix(self, tmp_path, monkeypatch):
+        config = cli.load_config(write_config(tmp_path, heads=3, perturb_sigma=0.1, t_max=20))
+        cli.cmd_gen(config, tmp_path / "data")
+        formed = []
+        gram = AttentionContext.__dict__["gram"]
+
+        def counting_gram(ctx):
+            formed.append(ctx)
+            return gram.func(ctx)
+
+        counting = functools.cached_property(counting_gram)
+        counting.__set_name__(AttentionContext, "gram")
+        monkeypatch.setattr(AttentionContext, "gram", counting)
+        report, _ = cli.cmd_run(config, tmp_path / "data")
+        assert [entry["iters"] > 0 for entry in report["heads"]] == [True] * 3
+        assert len(formed) == 1
 
 
 FORM_CONFIGS = [

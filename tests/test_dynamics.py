@@ -213,6 +213,32 @@ class TestDescend:
         assert trace.grad_norms[-1] == pytest.approx(frobenius_norm(ev.grad), rel=1e-6)
         assert np.all(np.diff(trace.energies) <= 0.0)
 
+    @pytest.mark.parametrize("clip_norm", [None, 0.005])
+    @pytest.mark.parametrize(
+        "form", [QUADRATIC, polynomial(4), EXPONENTIAL], ids=lambda f: f.label
+    )
+    def test_last_grad_norm_is_taken_at_the_returned_z(self, form, clip_norm):
+        # steps carry the scores through B, whose rounding the summed step
+        # weights amplify; the last norm must still describe the returned Z
+        x, w = gaussian_head_inputs(3, 16, 8, 4, 4)
+        ctx = ea.build_context(x, w)
+        z0 = ctx.av + 0.5 * ea.GaussianStream(3).matrix(ctx.n, ctx.d_v)
+        cfg = DescentConfig(eta=0.5, max_iters=200, grad_tol=0.0, clip_norm=clip_norm)
+        z, trace = descend(form, ctx, z0, cfg)
+        fresh = frobenius_norm(ea.regularized_energy(form, ctx.a, z, ctx.v).grad)
+        assert trace.grad_norms[-1] == pytest.approx(fresh, rel=1e-12)
+
+    def test_stop_is_decided_on_the_explicit_gradient_norm(self):
+        # a Gram matrix that understates every w^T B w must not end the run
+        # as converged: each candidate stop is checked at the formed Z
+        ctx = small_context()
+        z0 = ctx.av + 0.1 * ea.GaussianStream(1).matrix(ctx.n, ctx.d_v)
+        ctx.__dict__["gram"] = ctx.gram * 1e-12
+        z, trace = descend(QUADRATIC, ctx, z0, DescentConfig(eta=0.5, max_iters=20, grad_tol=1e-6))
+        fresh = frobenius_norm(ea.regularized_energy(QUADRATIC, ctx.a, z, ctx.v).grad)
+        assert trace.stop_reason == "max_iters" and trace.iters == 20
+        assert trace.grad_norms[-1] == fresh > 1e-6
+
     def test_backtracking_keeps_energy_monotone_for_convex_forms(self):
         ctx = small_context(seed=8)
         z0 = ctx.av + 0.5 * ea.GaussianStream(4).matrix(ctx.n, ctx.d_v)

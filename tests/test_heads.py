@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import energy_attention as ea
+from energy_attention import heads
 from energy_attention.energy import EXPONENTIAL, LINEAR, QUADRATIC, ExpOverflowError, polynomial
 from energy_attention.heads import HeadSpec, run_head, solve_head
 from energy_attention.linalg import ShapeError
@@ -90,6 +91,22 @@ class TestRunHead:
         x, w = gaussian_head_inputs(5, 4, 8, 2, 2)
         with pytest.raises(ShapeError):
             run_head(x, w, spec_for(QUADRATIC, d_k=3))
+
+    @pytest.mark.parametrize("dims", [{"d": 6}, {"d_k": 3}, {"d_v": 1}])
+    def test_spec_mismatch_is_found_before_the_context_is_built(self, monkeypatch, dims):
+        x, w = gaussian_head_inputs(5, 4, 8, 2, 2)
+        calls = []
+        monkeypatch.setattr(heads, "build_context", lambda *args: calls.append(args))
+        with pytest.raises(ShapeError):
+            run_head(x, w, spec_for(QUADRATIC, **dims))
+        assert calls == []
+
+    def test_only_a_stepping_head_forms_the_gram_matrix(self):
+        x, w = gaussian_head_inputs(4, 4, 8, 2, 2)
+        for spec in (spec_for(LINEAR), spec_for(QUADRATIC)):
+            assert "gram" not in run_head(x, w, spec).context.__dict__
+        spec = HeadSpec(d=8, d_k=2, d_v=2, form=QUADRATIC, perturb_sigma=0.1, perturb_seed=1)
+        assert "gram" in run_head(x, w, spec).context.__dict__
 
 
 class TestSolveHead:

@@ -58,6 +58,7 @@ def test_nonfinite_entries_rejected(tmp_path):
         '{"name": "X", "rows": true, "cols": 1, "data": [1.0]}',
         '{"name": "X", "rows": 1, "cols": 1, "data": [{}]}',
         '{"name": "X", "rows": 1, "cols": 1, "data": ["a"]}',
+        '{"name": "X", "rows": 1, "cols": 1, "data": [100000000000000000000]}',
     ],
 )
 def test_malformed_file_rejected(tmp_path, body):
@@ -65,3 +66,12 @@ def test_malformed_file_rejected(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ValueError):
         load_matrix(path)
+
+
+def test_numbers_mixed_with_booleans_are_promoted(tmp_path):
+    # the entries are judged by numpy's dtype for the whole list, so a
+    # boolean among numbers is promoted rather than rejected
+    path = tmp_path / "mixed.json"
+    path.write_text('{"name": "X", "rows": 1, "cols": 3, "data": [1.5, true, 2]}')
+    _, m = load_matrix(path)
+    assert np.array_equal(m, [[1.5, 1.0, 2.0]])
