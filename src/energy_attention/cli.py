@@ -4,11 +4,17 @@ Subcommands: ``gen`` (seeded problem files), ``run`` (execute heads and
 report), ``gradcheck`` / ``stationarity`` (verification probes), ``trace``
 (per-iteration CSV) and ``sweep`` (parameter grids with wall times).
 
-Configs and reports are JSON, traces and sweeps CSV. Reports contain no
-timestamps, so identical configs produce byte-identical report bodies; the
-sweep CSV's wall_time_ms column is the one non-deterministic field anywhere.
+Configs and reports are JSON, traces and sweeps CSV. The fields of
+``RunConfig`` are the config keys; which keys are required or floats, what
+``sweep`` accepts and the sweep CSV's columns all derive from them. Every
+integer or float key but ``heads`` can be swept, and so can the degree
+``p``. Reports contain no timestamps, so identical configs produce
+byte-identical report bodies; the sweep CSV's wall_time_ms column is the
+one non-deterministic field anywhere. Probe flags must be finite, with
+``--h`` > 0 and ``--tol`` >= 0.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
+Exit codes: 0 success, 1 verification failure, 2 usage/config error
+(including a finite-difference probe that leaves the float range),
 3 divergence (including exponential overflow).
 """
 
@@ -19,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .attention import ProjectionWeights, build_context
@@ -56,19 +62,6 @@ EXIT_DIVERGED = 3
 
 CHECK_TRIALS = 5
 
-_MATRIX_FILES = (("X", "X.json"), ("W_q", "W_q.json"), ("W_k", "W_k.json"), ("W_v", "W_v.json"))
-
-_REQUIRED_KEYS = {"n", "d", "d_k", "d_v", "form", "seed"}
-# JSON numbers read into float fields; clip_norm may also be null
-_FLOAT_KEYS = {"eta", "grad_tol", "clip_norm", "perturb_sigma"}
-
-_SWEEP_INT_PARAMS = {"n", "d", "d_k", "d_v", "t_max", "p", "seed"}
-
-_SWEEP_HEADER = (
-    "n,d,d_k,d_v,form,p,eta,t_max,grad_tol,clip_norm,perturb_sigma,seed,"
-    "converged,iters,final_grad_norm,wall_time_ms"
-)
-
 
 class ConfigError(ValueError):
     """The run configuration is malformed or internally inconsistent."""
@@ -76,6 +69,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The keys of a config file, one field each."""
+
     n: int
     d: int
     d_k: int
@@ -86,11 +81,14 @@ class RunConfig:
     grad_tol: float = 1e-8
     clip_norm: float | None = None
     perturb_sigma: float = 0.0
-    seed: int = 0
-    heads: int = 1
+    # a config file must name its seed; the default serves callers in Python
+    seed: int = field(default=0, metadata={"required": True})
+    # a sweep runs one head per grid point, so heads is never swept
+    heads: int = field(default=1, metadata={"sweep": False})
 
     def __post_init__(self):
-        for name in ("n", "d", "d_k", "d_v", "t_max", "heads"):
+        # HeadSpec checks d, d_k and d_v
+        for name in ("n", "t_max", "heads"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
@@ -128,7 +126,18 @@ class RunConfig:
         return {**asdict(self), "form": form}
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+# field annotations are strings here (postponed evaluation, see the imports)
+_FIELDS = fields(RunConfig)
+_REQUIRED_KEYS = {f.name for f in _FIELDS if f.default is MISSING or f.metadata.get("required")}
+# JSON numbers read into float fields, in field order; "float | None" may be null
+_FLOAT_TYPES = {f.name: f.type for f in _FIELDS if f.type.startswith("float")}
+# sweep parameter -> parser of its --values; p is the degree inside form
+_SWEEP_PARAMS = {
+    f.name: float if f.name in _FLOAT_TYPES else int
+    for f in _FIELDS
+    if f.type.startswith(("int", "float")) and f.metadata.get("sweep", True)
+}
+_SWEEP_PARAMS["p"] = int
 
 
 def _parse_form(obj) -> EnergyForm:
@@ -146,7 +155,7 @@ def _parse_form(obj) -> EnergyForm:
 def parse_config(obj: dict) -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(obj) - _CONFIG_KEYS
+    unknown = set(obj) - {f.name for f in _FIELDS}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     missing = _REQUIRED_KEYS - set(obj)
@@ -154,9 +163,9 @@ def parse_config(obj: dict) -> RunConfig:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     kwargs = dict(obj)
     kwargs["form"] = _parse_form(obj["form"])
-    for key in _FLOAT_KEYS & set(obj):
-        value = obj[key]
-        if key == "clip_norm" and value is None:
+    for key, annotation in _FLOAT_TYPES.items():
+        value = obj.get(key)
+        if key not in obj or (value is None and annotation.endswith("None")):
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key} must be a number, got {value!r}")
@@ -171,23 +180,50 @@ def load_config(path) -> RunConfig:
     return parse_config(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _draw_inputs(config: RunConfig, stream: GaussianStream):
-    scale = 1.0 / math.sqrt(config.d)
-    x = stream.matrix(config.n, config.d, scale)
-    w_q = stream.matrix(config.d, config.d_k, scale)
-    w_k = stream.matrix(config.d, config.d_k, scale)
-    w_v = stream.matrix(config.d, config.d_v, scale)
-    return x, ProjectionWeights(w_q, w_k, w_v)
+def _matrix_shapes(config: RunConfig) -> dict:
+    """Name and shape of each problem matrix, in draw and file order."""
+    return {
+        "X": (config.n, config.d),
+        "W_q": (config.d, config.d_k),
+        "W_k": (config.d, config.d_k),
+        "W_v": (config.d, config.d_v),
+    }
 
 
-def generate_inputs(config: RunConfig):
+def generate_inputs(config: RunConfig, stream: GaussianStream | None = None):
     """Seeded token and weight matrices, entries N(0, 1/d).
 
-    One Gaussian stream seeded with ``config.seed`` is drawn in the fixed
-    order X, W_q, W_k, W_v, so the same seed reproduces the same problem
-    everywhere.
+    One Gaussian stream, seeded with ``config.seed`` unless ``stream`` is
+    given, is drawn in the order of ``_matrix_shapes``, so the same seed
+    reproduces the same problem everywhere.
     """
-    return _draw_inputs(config, GaussianStream(config.seed))
+    stream = GaussianStream(config.seed) if stream is None else stream
+    scale = 1.0 / math.sqrt(config.d)
+    x, *weights = [stream.matrix(*shape, scale) for shape in _matrix_shapes(config).values()]
+    return x, ProjectionWeights(*weights)
+
+
+def _write(text: str, path=None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _write_csv(rows, path) -> list[str]:
+    """Write ``rows`` as CSV and return its lines: %.17g floats, None empty, true/false."""
+
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format(value, ".17g") if isinstance(value, float) else str(value)
+
+    lines = [",".join(map(cell, row)) for row in rows]
+    _write("".join(f"{line}\n" for line in lines), path)
+    return lines
 
 
 def cmd_gen(config: RunConfig, out_dir) -> list[Path]:
@@ -195,32 +231,25 @@ def cmd_gen(config: RunConfig, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     x, w = generate_inputs(config)
-    matrices = {"X": x, "W_q": w.w_q, "W_k": w.w_k, "W_v": w.w_v}
     paths = []
-    for name, filename in _MATRIX_FILES:
-        path = out_dir / filename
-        save_matrix(path, name, matrices[name])
-        paths.append(path)
+    for name, matrix in zip(_matrix_shapes(config), (x, w.w_q, w.w_k, w.w_v)):
+        paths.append(out_dir / f"{name}.json")
+        save_matrix(paths[-1], name, matrix)
     return paths
 
 
 def _load_inputs(config: RunConfig, in_dir):
-    in_dir = Path(in_dir)
-    expected = {
-        "X": (config.n, config.d),
-        "W_q": (config.d, config.d_k),
-        "W_k": (config.d, config.d_k),
-        "W_v": (config.d, config.d_v),
-    }
-    loaded = {}
-    for name, filename in _MATRIX_FILES:
-        read_name, m = load_matrix(in_dir / filename)
+    loaded = []
+    for name, shape in _matrix_shapes(config).items():
+        filename = f"{name}.json"
+        read_name, m = load_matrix(Path(in_dir) / filename)
         if read_name != name:
             raise ConfigError(f"{filename}: expected matrix {name!r}, found {read_name!r}")
-        if m.shape != expected[name]:
-            raise ConfigError(f"{filename}: expected shape {expected[name]}, got {m.shape}")
-        loaded[name] = m
-    return loaded["X"], ProjectionWeights(loaded["W_q"], loaded["W_k"], loaded["W_v"])
+        if m.shape != shape:
+            raise ConfigError(f"{filename}: expected shape {shape}, got {m.shape}")
+        loaded.append(m)
+    x, *weights = loaded
+    return x, ProjectionWeights(*weights)
 
 
 def cmd_run(config: RunConfig, in_dir, emit_z: bool = False):
@@ -232,7 +261,6 @@ def cmd_run(config: RunConfig, in_dir, emit_z: bool = False):
     x, w = _load_inputs(config, in_dir)
     ctx = build_context(x, w)
     entries = []
-    any_diverged = False
     for index in range(config.heads):
         out = solve_head(ctx, config.head_spec(index))
         trace = out.trace
@@ -251,9 +279,8 @@ def cmd_run(config: RunConfig, in_dir, emit_z: bool = False):
                 "cols": out.z.shape[1],
                 "data": out.z.ravel(order="C").tolist(),
             }
-        any_diverged = any_diverged or trace.diverged
         entries.append(entry)
-    return {"config": config.to_dict(), "heads": entries}, any_diverged
+    return {"config": config.to_dict(), "heads": entries}, any(e["diverged"] for e in entries)
 
 
 def _probe_report(config: RunConfig, check: str, params: dict, probe):
@@ -261,14 +288,17 @@ def _probe_report(config: RunConfig, check: str, params: dict, probe):
 
     Trial t draws the problem for seed ``config.seed + t`` and calls
     ``probe(ctx, stream)`` with its context and the stream positioned after
-    W_v; the probe returns the trial's fields, "pass" among them.
+    the problem matrices. The probe returns a report dataclass whose fields
+    become the trial's, except the ``params`` stated once at the top.
     """
     trials = []
     for t in range(CHECK_TRIALS):
         seed = (config.seed + t) % 2**64
         stream = GaussianStream(seed)
-        x, w = _draw_inputs(config, stream)
-        trials.append({"seed": seed, **probe(build_context(x, w), stream)})
+        x, w = generate_inputs(config, stream)
+        trial = asdict(probe(build_context(x, w), stream))
+        trial["pass"] = trial.pop("passed")
+        trials.append({"seed": seed, **{k: v for k, v in trial.items() if k not in params}})
     passed = all(t["pass"] for t in trials)
     report = {"config": config.to_dict(), "check": check, **params, "trials": trials, "pass": passed}
     return report, passed
@@ -279,13 +309,7 @@ def cmd_gradcheck(config: RunConfig, tol: float = 1e-5, h: float = 1e-6):
 
     def probe(ctx, stream):
         z = stream.matrix(config.n, config.d_v)
-        report = gradcheck(config.form, ctx.a, ctx.v, z, h=h, tol=tol)
-        return {
-            "max_abs_err": report.max_abs_err,
-            "max_rel_err": report.max_rel_err,
-            "worst_index": list(report.worst_index),
-            "pass": report.passed,
-        }
+        return gradcheck(config.form, ctx.a, ctx.v, z, h=h, tol=tol)
 
     return _probe_report(config, "gradient", {"h": h, "tol": tol}, probe)
 
@@ -294,12 +318,7 @@ def cmd_stationarity(config: RunConfig, tol: float = 1e-8):
     """Gradient-at-AV checks on seeded instances."""
 
     def probe(ctx, stream):
-        report = stationarity_check(config.form, ctx.a, ctx.v, tol=tol)
-        return {
-            "grad_norm_at_av": report.grad_norm_at_av,
-            "scale": report.scale,
-            "pass": report.passed,
-        }
+        return stationarity_check(config.form, ctx.a, ctx.v, tol=tol)
 
     return _probe_report(config, "stationarity", {"tol": tol}, probe)
 
@@ -308,20 +327,17 @@ def cmd_trace(config: RunConfig, out_csv):
     """Run one head and export its trace as ``iter,energy,grad_norm`` rows."""
     x, w = generate_inputs(config)
     out = run_head(x, w, config.head_spec(0))
-    lines = ["iter,energy,grad_norm"]
-    for i, (e, g) in enumerate(zip(out.trace.energies, out.trace.grad_norms)):
-        lines.append(f"{i},{format(e, '.17g')},{format(g, '.17g')}")
-    Path(out_csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    trace = out.trace
+    rows = [("iter", "energy", "grad_norm")]
+    rows += [(i, e, g) for i, (e, g) in enumerate(zip(trace.energies, trace.grad_norms))]
+    _write_csv(rows, out_csv)
     return out
 
 
 def _parse_sweep_values(param: str, text: str):
-    if param in _SWEEP_INT_PARAMS:
-        convert = int
-    elif param in _FLOAT_KEYS:
-        convert = float
-    else:
-        allowed = sorted(_SWEEP_INT_PARAMS | _FLOAT_KEYS)
+    convert = _SWEEP_PARAMS.get(param)
+    if convert is None:
+        allowed = sorted(_SWEEP_PARAMS)
         raise ConfigError(f"unknown sweep parameter {param!r}; expected one of {allowed}")
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
@@ -338,89 +354,66 @@ def _sweep_config(config: RunConfig, param: str, value, grid_index: int) -> RunC
         if config.form.kind != "polynomial":
             raise ConfigError("sweeping p requires a polynomial form in the config")
         return replace(config, form=EnergyForm("polynomial", value), seed=seed)
-    if param == "seed":
-        return replace(config, seed=seed)
     return replace(config, **{param: value, "seed": seed})
 
 
+def _config_cells(config: RunConfig):
+    """(column, value) of each sweepable field in field order, form split into kind and p."""
+    for key, value in config.to_dict().items():
+        if key == "form":
+            yield from (("form", value["kind"]), ("p", value.get("p")))
+        elif key in _SWEEP_PARAMS:
+            yield key, value
+
+
 def cmd_sweep(config: RunConfig, param: str, values, out_csv):
-    """One head run per grid point; CSV row with results and wall time."""
-    rows = [_SWEEP_HEADER]
+    """One head run per grid point; CSV row with its config, results and wall time."""
+    header = [column for column, _ in _config_cells(config)]
+    rows = [header + ["converged", "iters", "final_grad_norm", "wall_time_ms"]]
     for index, value in enumerate(values):
         cfg = _sweep_config(config, param, value, index)
         x, w = generate_inputs(cfg)
         spec = cfg.head_spec(0)
         start = time.perf_counter()
-        out = run_head(x, w, spec)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        trace = out.trace
-        rows.append(
-            ",".join(
-                [
-                    str(cfg.n),
-                    str(cfg.d),
-                    str(cfg.d_k),
-                    str(cfg.d_v),
-                    cfg.form.kind,
-                    str(cfg.form.p) if cfg.form.kind == "polynomial" else "",
-                    format(cfg.eta, ".17g"),
-                    str(cfg.t_max),
-                    format(cfg.grad_tol, ".17g"),
-                    format(cfg.clip_norm, ".17g") if cfg.clip_norm is not None else "",
-                    format(cfg.perturb_sigma, ".17g"),
-                    str(cfg.seed),
-                    "true" if trace.converged else "false",
-                    str(trace.iters),
-                    format(trace.grad_norms[-1], ".17g"),
-                    format(wall_ms, ".3f"),
-                ]
-            )
-        )
-    Path(out_csv).write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return rows
+        trace = run_head(x, w, spec).trace
+        wall_ms = format((time.perf_counter() - start) * 1e3, ".3f")
+        cells = [cell for _, cell in _config_cells(cfg)]
+        rows.append(cells + [trace.converged, trace.iters, trace.grad_norms[-1], wall_ms])
+    return _write_csv(rows, out_csv)
 
 
-def _write_report(report: dict, out_path) -> None:
-    body = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        Path(out_path).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
-
-
-def _handle_gen(config: RunConfig, args) -> int:
-    for path in cmd_gen(config, args.out):
-        print(path)
-    return EXIT_OK
-
-
-def _handle_run(config: RunConfig, args) -> int:
-    report, any_diverged = cmd_run(config, args.in_dir, emit_z=args.emit_z)
-    _write_report(report, args.out)
-    return EXIT_DIVERGED if any_diverged else EXIT_OK
-
-
-def _handle_gradcheck(config: RunConfig, args) -> int:
-    report, passed = cmd_gradcheck(config, tol=args.tol, h=args.h)
-    _write_report(report, args.out)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-
-def _handle_stationarity(config: RunConfig, args) -> int:
-    report, passed = cmd_stationarity(config, tol=args.tol)
-    _write_report(report, args.out)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
-
-
-def _handle_trace(config: RunConfig, args) -> int:
-    out = cmd_trace(config, args.out)
-    return EXIT_DIVERGED if out.trace.diverged else EXIT_OK
-
-
-def _handle_sweep(config: RunConfig, args) -> int:
-    values = _parse_sweep_values(args.param, args.values)
-    cmd_sweep(config, args.param, values, args.out)
-    return EXIT_OK
+# Each subcommand's help and flags, as add_argument keywords; every
+# subcommand also takes the config path. Absent probe flags leave the
+# defaults of cmd_gradcheck and cmd_stationarity in force.
+_PROBE_FLAG = {"type": float, "default": argparse.SUPPRESS}
+_COMMANDS = {
+    "gen": (
+        "write seeded problem matrices",
+        {"--out": {"required": True, "help": "output directory"}},
+    ),
+    "run": (
+        "execute heads and write a JSON report",
+        {
+            "--in": {"dest": "in_dir", "required": True, "help": "directory with gen output"},
+            "--out": {"help": "report path (stdout when omitted)"},
+            "--emit-z": {"action": "store_true", "help": "embed final Z in the report"},
+        },
+    ),
+    "gradcheck": (
+        "finite-difference gradient verification",
+        {"--out": {}, "--tol": _PROBE_FLAG, "--h": _PROBE_FLAG},
+    ),
+    "stationarity": ("gradient-at-AV verification", {"--out": {}, "--tol": _PROBE_FLAG}),
+    "trace": ("export a descent trace as CSV", {"--out": {"required": True, "help": "CSV path"}}),
+    "sweep": (
+        "run a parameter grid and record wall times",
+        {
+            "--param": {"required": True},
+            "--values": {"required": True, "help": "comma-separated values"},
+            "--out": {"required": True, "help": "CSV path"},
+        },
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -429,58 +422,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Energy-functional attention heads: generation, execution, verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="write seeded problem matrices")
-    gen.add_argument("--config", required=True)
-    gen.add_argument("--out", required=True, help="output directory")
-    gen.set_defaults(handler=_handle_gen)
-
-    run = sub.add_parser("run", help="execute heads and write a JSON report")
-    run.add_argument("--config", required=True)
-    run.add_argument("--in", dest="in_dir", required=True, help="directory with gen output")
-    run.add_argument("--out", default=None, help="report path (stdout when omitted)")
-    run.add_argument("--emit-z", action="store_true", help="embed final Z in the report")
-    run.set_defaults(handler=_handle_run)
-
-    gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    gc.add_argument("--config", required=True)
-    gc.add_argument("--out", default=None)
-    gc.add_argument("--tol", type=float, default=1e-5)
-    gc.add_argument("--h", type=float, default=1e-6)
-    gc.set_defaults(handler=_handle_gradcheck)
-
-    st = sub.add_parser("stationarity", help="gradient-at-AV verification")
-    st.add_argument("--config", required=True)
-    st.add_argument("--out", default=None)
-    st.add_argument("--tol", type=float, default=1e-8)
-    st.set_defaults(handler=_handle_stationarity)
-
-    tr = sub.add_parser("trace", help="export a descent trace as CSV")
-    tr.add_argument("--config", required=True)
-    tr.add_argument("--out", required=True, help="CSV path")
-    tr.set_defaults(handler=_handle_trace)
-
-    sw = sub.add_parser("sweep", help="run a parameter grid and record wall times")
-    sw.add_argument("--config", required=True)
-    sw.add_argument("--param", required=True)
-    sw.add_argument("--values", required=True, help="comma-separated values")
-    sw.add_argument("--out", required=True, help="CSV path")
-    sw.set_defaults(handler=_handle_sweep)
-
+    for name, (help_text, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", required=True)
+        for flag, keywords in flags.items():
+            command.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # the cmd_* names are looked up here, at call time, so that a wrapper
+    # set on this module (a tracer, a test double) sees every call
     try:
         # every subcommand reads its config first
-        return args.handler(load_config(args.config), args)
-    except ExpOverflowError as exc:
+        config = load_config(args.config)
+        if args.command == "gen":
+            _write("".join(f"{path}\n" for path in cmd_gen(config, args.out)))
+            return EXIT_OK
+        if args.command == "trace":
+            return EXIT_DIVERGED if cmd_trace(config, args.out).trace.diverged else EXIT_OK
+        if args.command == "sweep":
+            cmd_sweep(config, args.param, _parse_sweep_values(args.param, args.values), args.out)
+            return EXIT_OK
+        if args.command == "run":
+            report, diverged = cmd_run(config, args.in_dir, emit_z=args.emit_z)
+            code = EXIT_DIVERGED if diverged else EXIT_OK
+        else:
+            probe = cmd_gradcheck if args.command == "gradcheck" else cmd_stationarity
+            flags = {key: value for key, value in vars(args).items() if key in ("tol", "h")}
+            report, passed = probe(config, **flags)
+            code = EXIT_OK if passed else EXIT_CHECK_FAILED
+        _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+        return code
+    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # an exponential overflow is a divergence; a plain FloatingPointError
+        # is a finite-difference probe that left the float range (--h too big)
+        return EXIT_DIVERGED if isinstance(exc, ExpOverflowError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

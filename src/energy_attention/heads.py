@@ -40,8 +40,9 @@ class HeadSpec:
 
     def __post_init__(self):
         for name in ("d", "d_k", "d_v"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not (math.isfinite(self.perturb_sigma) and self.perturb_sigma >= 0):
             raise ValueError(f"perturb_sigma must be finite and >= 0, got {self.perturb_sigma}")
         seed = self.perturb_seed

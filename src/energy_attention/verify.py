@@ -65,8 +65,8 @@ def fd_gradient(energy_fn, z: np.ndarray, h: float) -> np.ndarray:
     magnitudes inside one iterate are probed at comparable relative
     resolution.
     """
-    if not h > 0:
-        raise ValueError(f"finite-difference step must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"finite-difference step must be finite and positive, got {h}")
     grad = np.empty_like(z, dtype=np.float64)
     for i in range(z.shape[0]):
         for k in range(z.shape[1]):
@@ -112,6 +112,8 @@ def gradcheck(
     tol: float = 1e-5,
 ) -> GradCheckReport:
     """Analytic grad E_R versus finite differences of E_R at one state."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     c = reg_coeffs(a, v)
     analytic = regularized_energy(form, a, z, v, c=c).grad
     numeric = fd_gradient(lambda zz: regularized_energy(form, a, zz, v, c=c).e_r, z, h)
@@ -124,7 +126,12 @@ def stationarity_check(
     v: np.ndarray,
     tol: float = 1e-8,
 ) -> StationarityReport:
-    """Norm of grad E_R at Z = AV against tol * (1 + ||AV||_F)."""
+    """Norm of grad E_R at Z = AV against tol * (1 + ||AV||_F).
+
+    ``tol=0`` asks for an exact zero, which AV can meet.
+    """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     av = a @ v
     grad = regularized_energy(form, a, av, v, c=reg_coeffs(a, v)).grad
     grad_norm = frobenius_norm(grad)

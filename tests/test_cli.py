@@ -64,6 +64,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config({"n": 4})
 
+    def test_seed_is_required_in_a_config(self):
+        # the dataclass defaults seed to 0, but a config file must name it
+        with pytest.raises(ConfigError, match=r"missing config keys: \['seed'\]"):
+            parse_config({"n": 4, "d": 8, "d_k": 2, "d_v": 2, "form": {"kind": "linear"}})
+
+    def test_clip_norm_alone_may_be_null(self):
+        base = {"n": 4, "d": 8, "d_k": 2, "d_v": 2, "form": {"kind": "linear"}, "seed": 0}
+        assert parse_config({**base, "clip_norm": None}).clip_norm is None
+        for key in ("eta", "grad_tol", "perturb_sigma"):
+            with pytest.raises(ConfigError, match=f"{key} must be a number"):
+                parse_config({**base, key: None})
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
             parse_config({
@@ -112,6 +124,13 @@ class TestGen:
         run_cli("gen", "--config", str(cfg), "--out", str(tmp_path / "data"))
         obj = json.loads((tmp_path / "data" / "X.json").read_text())
         assert obj["rows"] == 4 and obj["cols"] == 8
+
+    def test_prints_the_four_paths_in_draw_order(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        data = tmp_path / "data"
+        assert run_cli("gen", "--config", str(cfg), "--out", str(data)) == EXIT_OK
+        names = ("X", "W_q", "W_k", "W_v")
+        assert capsys.readouterr().out == "".join(f"{data / name}.json\n" for name in names)
 
     def test_files_match_golden_hashes(self, tmp_path):
         # pins the SplitMix64 + Box-Muller draws and the %.17g file format
@@ -184,6 +203,14 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg), "--in", str(data), "--out", str(out1)) == EXIT_OK
         assert run_cli("run", "--config", str(cfg), "--in", str(data), "--out", str(out2)) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_stdout_report_equals_the_file_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, perturb_sigma=0.1, heads=2)
+        code, report = self.gen_and_run(tmp_path, cfg, "--emit-z")
+        assert code == EXIT_OK and report is not None
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(cfg), "--in", str(tmp_path / "data"), "--emit-z") == EXIT_OK
+        assert capsys.readouterr().out == (tmp_path / "report.json").read_text()
 
     def test_multiple_heads_report_one_entry_each(self, tmp_path):
         cfg = write_config(tmp_path, heads=3)
@@ -366,6 +393,17 @@ class TestGradcheckCommand:
         assert not report["pass"]
         assert all(t["max_rel_err"] > 1e-15 for t in report["trials"])
 
+    def test_report_keys_and_echoed_flags(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "gc.json"
+        assert run_cli("gradcheck", "--config", str(cfg), "--out", str(out), "--tol", "1e-4", "--h", "1e-5") == EXIT_OK
+        report = json.loads(out.read_text())
+        assert set(report) == {"config", "check", "h", "tol", "trials", "pass"}
+        assert (report["check"], report["h"], report["tol"]) == ("gradient", 1e-5, 1e-4)
+        assert [t["seed"] for t in report["trials"]] == [7 + t for t in range(cli.CHECK_TRIALS)]
+        for trial in report["trials"]:
+            assert set(trial) == {"seed", "max_abs_err", "max_rel_err", "worst_index", "pass"}
+
 
 class TestStationarityCommand:
     @pytest.mark.parametrize("form", FORM_CONFIGS)
@@ -376,6 +414,60 @@ class TestStationarityCommand:
         report = json.loads(out.read_text())
         assert report["pass"]
         assert all(t["grad_norm_at_av"] <= 1e-8 * t["scale"] for t in report["trials"])
+
+    def test_report_keys_and_echoed_flags(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "st.json"
+        assert run_cli("stationarity", "--config", str(cfg), "--out", str(out), "--tol", "1e-9") == EXIT_OK
+        report = json.loads(out.read_text())
+        assert set(report) == {"config", "check", "tol", "trials", "pass"}
+        assert (report["check"], report["tol"]) == ("stationarity", 1e-9)
+        assert [t["seed"] for t in report["trials"]] == [7 + t for t in range(cli.CHECK_TRIALS)]
+        for trial in report["trials"]:
+            assert set(trial) == {"seed", "grad_norm_at_av", "scale", "pass"}
+
+    def test_zero_tolerance_is_an_exact_check(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "st.json"
+        assert run_cli("stationarity", "--config", str(cfg), "--out", str(out), "--tol", "0") == EXIT_OK
+        assert all(t["grad_norm_at_av"] == 0.0 for t in json.loads(out.read_text())["trials"])
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("gradcheck", "--h", "inf"),
+        ("gradcheck", "--h", "nan"),
+        ("gradcheck", "--h", "1e300"),
+        ("gradcheck", "--h", "-1"),
+        ("gradcheck", "--tol", "inf"),
+        ("gradcheck", "--tol", "nan"),
+        ("gradcheck", "--tol", "-1"),
+        ("stationarity", "--tol", "inf"),
+        ("stationarity", "--tol", "nan"),
+        ("stationarity", "--tol", "-1"),
+    ],
+)
+def test_out_of_range_probe_flags_exit_2_without_a_report(tmp_path, capsys, command, flag, value):
+    # 1e300 is finite but its probes overflow the quadratic energy
+    cfg = write_config(tmp_path)
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(command, "--config", str(cfg), "--out", str(out), flag, value)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+    assert not out.exists()
+
+
+def test_exponential_overflow_in_a_probe_exits_3(tmp_path, capsys):
+    # an overflow is a divergence, even though ExpOverflowError is also a
+    # FloatingPointError, which otherwise means an out-of-range probe
+    cfg = write_config(tmp_path, form={"kind": "exponential"})
+    out = tmp_path / "gc.json"
+    code = run_cli("gradcheck", "--config", str(cfg), "--out", str(out), "--h", "1e300")
+    assert code == EXIT_DIVERGED
+    assert capsys.readouterr().err.startswith("error: exponential energy argument")
+    assert not out.exists()
 
 
 class TestTraceCommand:
@@ -442,6 +534,34 @@ class TestSweepCommand:
         cfg = write_config(tmp_path)
         code = run_cli("sweep", "--config", str(cfg), "--param", "bogus", "--values", "1", "--out", str(tmp_path / "s.csv"))
         assert code == EXIT_USAGE
+
+    def test_header_and_config_cells_are_pinned(self, tmp_path):
+        cfg = write_config(tmp_path, perturb_sigma=0.1)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", str(cfg), "--param", "eta", "--values", "0.1", "--out", str(out)) == EXIT_OK
+        header, row = out.read_text().splitlines()
+        assert header == (
+            "n,d,d_k,d_v,form,p,eta,t_max,grad_tol,clip_norm,perturb_sigma,seed,"
+            "converged,iters,final_grad_norm,wall_time_ms"
+        )
+        cells = row.split(",")
+        assert len(cells) == 16
+        assert cells[:12] == [
+            "4", "8", "2", "2", "quadratic", "", "0.10000000000000001", "100", "1e-08", "",
+            "0.10000000000000001", "7",
+        ]
+        assert cells[12] in ("true", "false")
+
+    def test_heads_is_not_sweepable(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "s.csv"
+        code = run_cli("sweep", "--config", str(cfg), "--param", "heads", "--values", "2", "--out", str(out))
+        assert code == EXIT_USAGE
+        allowed = ["clip_norm", "d", "d_k", "d_v", "eta", "grad_tol", "n", "p", "perturb_sigma", "seed", "t_max"]
+        assert capsys.readouterr().err == (
+            f"error: unknown sweep parameter 'heads'; expected one of {allowed}\n"
+        )
+        assert not out.exists()
 
     def test_degree_sweep_requires_polynomial_form(self, tmp_path):
         cfg = write_config(tmp_path)  # quadratic

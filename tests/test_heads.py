@@ -138,6 +138,13 @@ class TestHeadSpec:
         with pytest.raises(ValueError):
             HeadSpec(d=0, d_k=2, d_v=2, form=QUADRATIC)
 
+    @pytest.mark.parametrize("name", ["d", "d_k", "d_v"])
+    @pytest.mark.parametrize("value", [0, 2.5, True, "3"])
+    def test_dimensions_must_be_positive_integers(self, name, value):
+        dims = {"d": 8, "d_k": 2, "d_v": 2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {value!r}$"):
+            HeadSpec(**dims, form=QUADRATIC)
+
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             HeadSpec(d=8, d_k=2, d_v=2, form=QUADRATIC, perturb_sigma=-0.1)

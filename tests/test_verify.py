@@ -58,6 +58,21 @@ class TestFdGradient:
         with pytest.raises(ValueError):
             fd_gradient(lambda m: 0.0, np.zeros((1, 1)), 0.0)
 
+    @pytest.mark.parametrize("h", [float("inf"), float("nan")])
+    def test_rejects_non_finite_step(self, h):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fd_gradient(lambda m: 0.0, np.zeros((1, 1)), h)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    rng = np.random.default_rng(0)
+    a, v = random_attention(rng, 3), rng.normal(size=(3, 2))
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        gradcheck(QUADRATIC, a, v, a @ v, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        stationarity_check(QUADRATIC, a, v, tol=tol)
+
 
 class TestGradcheck:
     def test_degree_one_form_passes_trivially(self):
