@@ -15,6 +15,10 @@ import numpy as np
 
 from .linalg import ShapeError
 
+# rows per tile when V V^T is multiplied into A^T A; one tile of V V^T is
+# 128 KiB, so no n x n V V^T is ever held
+_GRAM_TILE = 128
+
 __all__ = [
     "ProjectionWeights",
     "AttentionContext",
@@ -67,7 +71,10 @@ class AttentionContext:
 
     ``gram`` is B = (A^T A) o (V V^T) = L L^T for the linear score map L of
     the energy; it is formed on first use and kept, so heads that share a
-    context share it and heads that never step never form it.
+    context share it and heads that never step never form it. A^T A is one
+    symmetric product; V V^T is multiplied in by 128-row tiles, each
+    off-diagonal tile formed once and applied to both of its mirror blocks,
+    so B is exactly symmetric for every n.
     """
 
     q: np.ndarray
@@ -87,7 +94,16 @@ class AttentionContext:
     @cached_property
     def gram(self) -> np.ndarray:
         b = self.a.T @ self.a
-        b *= self.v @ self.v.T
+        v = self.v
+        for i in range(0, self.n, _GRAM_TILE):
+            rows = slice(i, i + _GRAM_TILE)
+            vi = v[rows]
+            b[rows, rows] *= vi @ vi.T
+            for j in range(i + _GRAM_TILE, self.n, _GRAM_TILE):
+                cols = slice(j, j + _GRAM_TILE)
+                t = vi @ v[cols].T
+                b[rows, cols] *= t
+                b[cols, rows] *= t.T
         b.setflags(write=False)
         return b
 
@@ -111,17 +127,23 @@ def scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return s
 
 
+def _softmax_rows(s: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Shift each row of s by its max, exponentiate and normalise, into out."""
+    e = np.subtract(s, s.max(axis=1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
 def row_softmax(s: np.ndarray) -> np.ndarray:
     """Row-wise softmax with per-row max subtraction.
 
     The shift leaves each row's distribution unchanged while keeping every
     exponent <= 0, so entries stay representable for arbitrarily large
-    scores. It works in one fresh n x n buffer and leaves ``s`` unchanged.
+    scores. It works in one fresh n x n buffer and leaves ``s`` unchanged;
+    ``build_context`` runs the same arithmetic in the scores' own buffer.
     """
-    e = s - s.max(axis=1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    return _softmax_rows(s, None)
 
 
 def attention_output(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -134,9 +156,15 @@ def attention_output(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def build_context(x: np.ndarray, w: ProjectionWeights) -> AttentionContext:
-    """Run projections, scores, softmax and output once for a head."""
+    """Run projections, scores, softmax and output once for a head.
+
+    The softmax overwrites the freshly allocated scores, so a head holds one
+    n x n buffer here; A equals ``row_softmax(scaled_scores(q, k))`` bit
+    for bit.
+    """
     q, k, v = project(x, w)
-    a = row_softmax(scaled_scores(q, k))
+    s = scaled_scores(q, k)
+    a = _softmax_rows(s, s)
     av = attention_output(a, v)
     for arr in (q, k, v, a, av):
         arr.setflags(write=False)

@@ -367,13 +367,17 @@ def _config_cells(config: RunConfig):
 
 
 def cmd_sweep(config: RunConfig, param: str, values, out_csv):
-    """One head run per grid point; CSV row with its config, results and wall time."""
+    """One head run per grid point; CSV row with its config, results and wall time.
+
+    Every grid point's config and head spec is built before any head is
+    solved, so an invalid value fails before the first descent.
+    """
+    configs = [_sweep_config(config, param, value, index) for index, value in enumerate(values)]
+    specs = [cfg.head_spec(0) for cfg in configs]
     header = [column for column, _ in _config_cells(config)]
     rows = [header + ["converged", "iters", "final_grad_norm", "wall_time_ms"]]
-    for index, value in enumerate(values):
-        cfg = _sweep_config(config, param, value, index)
+    for cfg, spec in zip(configs, specs):
         x, w = generate_inputs(cfg)
-        spec = cfg.head_spec(0)
         start = time.perf_counter()
         trace = run_head(x, w, spec).trace
         wall_ms = format((time.perf_counter() - start) * 1e3, ".3f")

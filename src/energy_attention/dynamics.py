@@ -130,9 +130,17 @@ def _form_remainder(form: EnergyForm, u: np.ndarray, h: np.ndarray) -> np.ndarra
         return np.exp(u) * (np.expm1(-h) + h)
     rest = np.zeros_like(h)
     if form.kind == "polynomial":
-        # (u - h)^p expanded from its h^2 term on; the lower terms cancel
-        for k in range(2, form.p + 1):
-            rest += math.comb(form.p, k) * u ** (form.p - k) * (-h) ** k
+        # (u - h)^p expanded from its h^2 term on; the lower terms cancel.
+        # Powers are running products, not one libm pow per element.
+        p = form.p
+        u_powers = [np.ones_like(u)]
+        for _ in range(p - 2):
+            u_powers.append(u_powers[-1] * u)
+        neg_h = -h
+        neg_h_power = neg_h
+        for k in range(2, p + 1):
+            neg_h_power = neg_h_power * neg_h
+            rest += math.comb(p, k) * u_powers[p - k] * neg_h_power
     return rest
 
 

@@ -119,6 +119,23 @@ def _checked_exp_args(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _power(u: np.ndarray, k: int) -> np.ndarray:
+    """u**k for an integer k >= 0 in a fresh array, by multiplication.
+
+    Left-to-right binary exponentiation: at most 2 log2(k) multiplies per
+    element instead of one libm ``pow`` call, within k ulp of the correctly
+    rounded power.
+    """
+    if k < 2:
+        return np.ones_like(u) if k == 0 else u.copy()
+    out = u
+    for bit in bin(k)[3:]:
+        out = out * out
+        if bit == "1":
+            out *= u
+    return out
+
+
 def f_apply(form: EnergyForm, u):
     """F(u) for scalar or array u."""
     u = np.asarray(u, dtype=np.float64)
@@ -127,21 +144,25 @@ def f_apply(form: EnergyForm, u):
     elif form.kind == "quadratic":
         out = u * u
     elif form.kind == "polynomial":
-        out = u**form.p
+        out = _power(u, form.p)
     else:
         out = np.exp(_checked_exp_args(u))
     return out if out.ndim else float(out)
 
 
 def f_prime(form: EnergyForm, u):
-    """Exact derivative F'(u) for scalar or array u."""
+    """Exact derivative F'(u) for scalar or array u.
+
+    Polynomial powers are formed by multiplication, not ``pow``, so F'(u)
+    is within p ulp of the correctly rounded p u^(p-1).
+    """
     u = np.asarray(u, dtype=np.float64)
     if form.kind == "linear":
         out = np.ones_like(u)
     elif form.kind == "quadratic":
         out = 2.0 * u
     elif form.kind == "polynomial":
-        out = form.p * u ** (form.p - 1)
+        out = form.p * _power(u, form.p - 1)
     else:
         out = np.exp(_checked_exp_args(u))
     return out if out.ndim else float(out)

@@ -68,20 +68,22 @@ def fd_gradient(energy_fn, z: np.ndarray, h: float) -> np.ndarray:
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step must be finite and positive, got {h}")
     grad = np.empty_like(z, dtype=np.float64)
-    for i in range(z.shape[0]):
-        for k in range(z.shape[1]):
-            step = h * (1.0 + abs(float(z[i, k])))
-            z_plus = z.copy()
-            z_plus[i, k] += step
-            z_minus = z.copy()
-            z_minus[i, k] -= step
-            e_plus = energy_fn(z_plus)
-            e_minus = energy_fn(z_minus)
-            if not (math.isfinite(e_plus) and math.isfinite(e_minus)):
-                raise FloatingPointError(
-                    f"finite-difference probe is non-finite at entry ({i}, {k})"
-                )
-            grad[i, k] = (e_plus - e_minus) / (2.0 * step)
+    # a probe past the float range is reported below, not warned on
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(z.shape[0]):
+            for k in range(z.shape[1]):
+                step = h * (1.0 + abs(float(z[i, k])))
+                z_plus = z.copy()
+                z_plus[i, k] += step
+                z_minus = z.copy()
+                z_minus[i, k] -= step
+                e_plus = energy_fn(z_plus)
+                e_minus = energy_fn(z_minus)
+                if not (math.isfinite(e_plus) and math.isfinite(e_minus)):
+                    raise FloatingPointError(
+                        f"finite-difference probe is non-finite at entry ({i}, {k})"
+                    )
+                grad[i, k] = (e_plus - e_minus) / (2.0 * step)
     return grad
 
 

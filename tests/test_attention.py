@@ -150,13 +150,32 @@ class TestBuildContext:
         with pytest.raises(ValueError):
             ctx.av[0, 0] = 1.0
 
+    @pytest.mark.parametrize("n", [4, 129])
+    def test_weights_equal_row_softmax_of_the_scores_bit_for_bit(self, n):
+        # build_context runs the softmax in the scores' buffer; row_softmax
+        # in a fresh one, leaving its input as it was
+        x, w = gaussian_head_inputs(n, n, 16, 4, 3)
+        ctx = build_context(x, w)
+        s = scaled_scores(ctx.q, ctx.k)
+        s_before = s.copy()
+        assert np.array_equal(ctx.a, row_softmax(s))
+        assert np.array_equal(s, s_before)
+
 
 class TestGram:
-    @pytest.mark.parametrize("n, d_v", [(1, 1), (2, 4), (7, 3), (16, 16)])
+    @pytest.mark.parametrize(
+        "n, d_v",
+        # n around and past one 128-row tile of V V^T exercises the full,
+        # partial and mirrored off-diagonal tiles
+        [(1, 1), (2, 4), (7, 3), (16, 16)]
+        + [(n, d_v) for n in (127, 128, 129, 300) for d_v in (1, 16)],
+    )
     def test_equals_score_map_times_its_adjoint(self, n, d_v):
         # column j of B = L L^T is L applied to L^T e_j = A diag(e_j) V
         x, w = gaussian_head_inputs(n + d_v, n, 8, 4, d_v)
         ctx = build_context(x, w)
+        assert np.array_equal(ctx.gram, ctx.gram.T)
+        assert not ctx.gram.flags.writeable
         columns = [
             alignment_scores(ctx.a, ctx.a @ (ctx.v * e_j[:, None]), ctx.v)
             for e_j in np.eye(n)

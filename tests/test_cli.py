@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,19 @@ class TestGradcheckCommand:
         for trial in report["trials"]:
             assert set(trial) == {"seed", "max_abs_err", "max_rel_err", "worst_index", "pass"}
 
+    @pytest.mark.parametrize("form", [{"kind": "quadratic"}, {"kind": "polynomial", "p": 4}])
+    def test_probe_past_the_float_range_writes_one_error_line(self, tmp_path, capsys, form):
+        # overflow inside the probes is reported by the error line alone;
+        # a numpy warning escaping them fails here as an exception
+        cfg = write_config(tmp_path, form=form)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("gradcheck", "--config", str(cfg), "--h", "1e300")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: finite-difference probe is non-finite")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestStationarityCommand:
     @pytest.mark.parametrize("form", FORM_CONFIGS)
@@ -561,6 +575,19 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             f"error: unknown sweep parameter 'heads'; expected one of {allowed}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, values", [("d_k", "4,2,0"), ("eta", "0.01,0"), ("p", "3,0")])
+    def test_invalid_late_value_exits_2_before_any_head(self, tmp_path, monkeypatch, capsys, param, values):
+        cfg = write_config(tmp_path, form={"kind": "polynomial", "p": 2})
+        out = tmp_path / "s.csv"
+        calls = []
+        monkeypatch.setattr(cli, "run_head", lambda *args: calls.append(args))
+        code = run_cli("sweep", "--config", str(cfg), "--param", param, "--values", values, "--out", str(out))
+        assert code == EXIT_USAGE
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
     def test_degree_sweep_requires_polynomial_form(self, tmp_path):

@@ -1,10 +1,18 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import energy_attention as ea
-from energy_attention.dynamics import DescentConfig, DescentTrace, descend, linear_descent
+from energy_attention.dynamics import (
+    DescentConfig,
+    DescentTrace,
+    _form_remainder,
+    descend,
+    linear_descent,
+)
 from energy_attention.energy import EXPONENTIAL, QUADRATIC, polynomial
 from energy_attention.linalg import frobenius_norm
 
@@ -23,6 +31,22 @@ def hand_context():
     v = np.array([[1.0], [2.0]])
     a = np.eye(2)
     return ea.AttentionContext(q=a, k=a, v=v, a=a, av=a @ v)
+
+
+@pytest.mark.parametrize("form", [QUADRATIC] + [polynomial(p) for p in range(1, 9)])
+def test_form_remainder_matches_exact_rationals(form):
+    # F(u - h) - F(u) + F'(u) h in exact arithmetic; the computed remainder
+    # may err by a few ulp of each of its binomial terms
+    p = 2 if form.kind == "quadratic" else form.p
+    rng = np.random.default_rng(p)
+    u = rng.standard_normal(64) * 10.0 ** rng.uniform(-2, 2, 64)
+    h = u * 10.0 ** rng.uniform(-6, 0, 64) * rng.choice([-1.0, 1.0], 64)
+    got = _form_remainder(form, u, h)
+    for uj, hj, rj in zip(u, h, got):
+        fu, fh = Fraction(uj), Fraction(hj)
+        exact = (fu - fh) ** p - fu**p + p * fu ** (p - 1) * fh
+        terms = sum(math.comb(p, k) * abs(fu) ** (p - k) * abs(fh) ** k for k in range(2, p + 1))
+        assert abs(Fraction(rj) - exact) <= 2 * p * Fraction(np.finfo(float).eps) * terms
 
 
 class TestDescentConfig:

@@ -1,4 +1,5 @@
 import importlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,42 @@ class TestScalarForms:
         with pytest.raises(ExpOverflowError) as err:
             f_apply(EXPONENTIAL, 701.0)
         assert "701" in str(err.value)
+
+
+def mixed_magnitudes(seed, size=200):
+    """Signed values spread over six decades, plus exact zeros and ones."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+    return np.concatenate([u, [0.0, -0.0, 1.0, -1.0]])
+
+
+class TestPolynomialRounding:
+    # powers are formed by multiplication, not pow: each stays within p ulp
+    # of the correctly rounded value of the exact rational power
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_value_is_within_p_ulp(self, p):
+        u = mixed_magnitudes(p)
+        got = f_apply(polynomial(p), u)
+        exact = np.array([float(Fraction(x) ** p) for x in u])
+        assert np.all(np.abs(got - exact) <= p * np.finfo(float).eps * np.abs(exact))
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_slope_is_within_p_ulp(self, p):
+        u = mixed_magnitudes(10 + p)
+        got = f_prime(polynomial(p), u)
+        exact = np.array([float(p * Fraction(x) ** (p - 1)) for x in u])
+        assert np.all(np.abs(got - exact) <= p * np.finfo(float).eps * np.abs(exact))
+
+    def test_scalar_input_gives_a_float(self):
+        assert f_apply(polynomial(5), 2.0) == 32.0
+        assert f_prime(polynomial(5), -2.0) == 80.0
+        assert isinstance(f_prime(polynomial(1), 3.0), float)
+
+    def test_degree_one_value_is_a_copy(self):
+        u = np.array([1.5, -0.0])
+        out = f_apply(polynomial(1), u)
+        np.testing.assert_array_equal(out, u)
+        assert not np.shares_memory(out, u)
 
 
 class TestAlignmentScores:
