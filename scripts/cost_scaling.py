@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 import energy_attention as ea
-from energy_attention.rng import GaussianStream
+from energy_attention.cli import RunConfig, generate_inputs
 
 
 def best_time(x, weights, spec, repeats):
@@ -36,14 +36,7 @@ def best_time(x, weights, spec, repeats):
 
 
 def per_iteration_cost(n, d, d_k, d_v, iters, repeats):
-    stream = GaussianStream(n)
-    scale = 1.0 / d**0.5
-    x = stream.matrix(n, d, scale)
-    weights = ea.ProjectionWeights(
-        stream.matrix(d, d_k, scale),
-        stream.matrix(d, d_k, scale),
-        stream.matrix(d, d_v, scale),
-    )
+    x, weights = generate_inputs(RunConfig(n=n, d=d, d_k=d_k, d_v=d_v, form=ea.QUADRATIC, seed=n))
     times = []
     for max_iters in iters:
         # a tiny fixed step with no tolerance stop runs exactly max_iters

@@ -9,13 +9,7 @@ Example:
 import argparse
 
 import energy_attention as ea
-from energy_attention.rng import GaussianStream
-
-
-def build_form(name, p):
-    if name == "polynomial":
-        return ea.polynomial(p)
-    return ea.EnergyForm(name)
+from energy_attention.cli import RunConfig, generate_inputs
 
 
 def main():
@@ -34,21 +28,14 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
-    stream = GaussianStream(args.seed)
-    scale = 1.0 / args.d**0.5
-    x = stream.matrix(args.n, args.d, scale)
-    weights = ea.ProjectionWeights(
-        stream.matrix(args.d, args.d_k, scale),
-        stream.matrix(args.d, args.d_k, scale),
-        stream.matrix(args.d, args.d_v, scale),
+    config = RunConfig(
+        n=args.n, d=args.d, d_k=args.d_k, d_v=args.d_v,
+        form=ea.EnergyForm(args.form, args.p if args.form == "polynomial" else None),
+        eta=args.eta, t_max=args.iters, grad_tol=args.tol,
+        perturb_sigma=args.sigma, seed=args.seed,
     )
-    spec = ea.HeadSpec(
-        d=args.d, d_k=args.d_k, d_v=args.d_v,
-        form=build_form(args.form, args.p),
-        descent=ea.DescentConfig(eta=args.eta, max_iters=args.iters, grad_tol=args.tol),
-        perturb_sigma=args.sigma,
-        perturb_seed=args.seed + 1,
-    )
+    x, weights = generate_inputs(config)
+    spec = config.head_spec()
     out = ea.run_head(x, weights, spec)
 
     print(f"form={spec.form.label} n={args.n} sigma={args.sigma} eta={args.eta}")

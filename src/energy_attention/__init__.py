@@ -23,9 +23,11 @@ from .energy import (
     EnergyEval,
     EnergyForm,
     ExpOverflowError,
+    ShapeError,
     alignment_scores,
     f_apply,
     f_prime,
+    frobenius_norm,
     grad_unregularized,
     linear_energy,
     linear_grad,
@@ -34,7 +36,6 @@ from .energy import (
     regularized_energy,
 )
 from .heads import HeadOutput, HeadSpec, run_head, solve_head
-from .linalg import ShapeError, as_matrix, frobenius_inner, frobenius_norm
 from .rng import GaussianStream
 from .verify import (
     GradCheckReport,

@@ -13,11 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import ShapeError
-
-# rows per tile when V V^T is multiplied into A^T A; one tile of V V^T is
-# 128 KiB, so no n x n V V^T is ever held
-_GRAM_TILE = 128
+from .energy import ShapeError, alignment_gram
 
 __all__ = [
     "ProjectionWeights",
@@ -69,12 +65,9 @@ class ProjectionWeights:
 class AttentionContext:
     """Per-head bundle (Q, K, V, A, AV), read-only after construction.
 
-    ``gram`` is B = (A^T A) o (V V^T) = L L^T for the linear score map L of
-    the energy; it is formed on first use and kept, so heads that share a
-    context share it and heads that never step never form it. A^T A is one
-    symmetric product; V V^T is multiplied in by 128-row tiles, each
-    off-diagonal tile formed once and applied to both of its mirror blocks,
-    so B is exactly symmetric for every n.
+    ``gram`` is the energy's Gram matrix B = L L^T (``energy.alignment_gram``),
+    read-only. It is formed on first use and kept, so heads that share a
+    context share it and heads that never step never form it.
     """
 
     q: np.ndarray
@@ -93,17 +86,7 @@ class AttentionContext:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        b = self.a.T @ self.a
-        v = self.v
-        for i in range(0, self.n, _GRAM_TILE):
-            rows = slice(i, i + _GRAM_TILE)
-            vi = v[rows]
-            b[rows, rows] *= vi @ vi.T
-            for j in range(i + _GRAM_TILE, self.n, _GRAM_TILE):
-                cols = slice(j, j + _GRAM_TILE)
-                t = vi @ v[cols].T
-                b[rows, cols] *= t
-                b[cols, rows] *= t.T
+        b = alignment_gram(self.a, self.v)
         b.setflags(write=False)
         return b
 

@@ -4,7 +4,8 @@ Subcommands: ``gen`` (seeded problem files), ``run`` (execute heads and
 report), ``gradcheck`` / ``stationarity`` (verification probes), ``trace``
 (per-iteration CSV) and ``sweep`` (parameter grids with wall times).
 
-Configs and reports are JSON, traces and sweeps CSV. The fields of
+Configs and reports are JSON, traces and sweeps CSV; a report writes each
+non-finite float (a diverged start, say) as null. The fields of
 ``RunConfig`` are the config keys; which keys are required or floats, what
 ``sweep`` accepts and the sweep CSV's columns all derive from them. Every
 integer or float key but ``heads`` can be swept, and so can the degree
@@ -457,6 +458,8 @@ def main(argv=None) -> int:
             flags = {key: value for key, value in vars(args).items() if key in ("tol", "h")}
             report, passed = probe(config, **flags)
             code = EXIT_OK if passed else EXIT_CHECK_FAILED
+        # NaN and +-Infinity are not JSON: a round trip reads them back as null
+        report = json.loads(json.dumps(report), parse_constant=lambda _: None)
         _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
         return code
     except (ConfigError, ValueError, OSError, FloatingPointError) as exc:

@@ -1,24 +1,18 @@
 """Gradient-descent dynamics on the regularized energy, stepped in score space.
 
 The update is Z <- Z - eta * grad E_R(Z), with optional gradient clipping.
-E_R depends on Z only through the alignment scores u = L(Z), L linear, and
-its gradient is L^T w with the score weights w = F'(u) - F'(c). A step of
-size a with clip factor s moves the scores to u - a s B w, where
-B = L L^T = (A^T A) o (V V^T) is the context's n x n Gram matrix, so an
-accepted step costs one product B w, which also gives the next gradient
-norm sqrt(w^T B w). Z is formed once, as Z0 - A diag(sum_t a_t s_t w_t) V.
-A stop is decided at that formed Z, on its explicit gradient norm; if
-that norm is above grad_tol the run steps on. A line-search trial at step
-size a costs O(n): with h = a s B w its energy change is
-
-    dE = sum_j [F(u_j - h_j) - F(u_j) + F'(u_j) h_j] - sum_j (F'(u_j) - F'(c_j)) h_j,
-
-where the bracket is formed per form without subtracting two energies
-(h^2 for the quadratic, e^u (expm1(-h) + h) for the exponential, the
-binomial tail of (u - h)^p for polynomials). dE thus carries rounding error
-proportional to the step, not to |E_R|, and a trial is accepted on
-dE <= 0. The recorded energies are the exact E_R(Z0) plus the accepted
-changes, so with backtracking they never increase.
+E_R depends on Z only through the alignment scores u = L(Z), and its
+gradient is L^T w with the score weights w = F'(u) - F'(c). A step of size
+a with clip factor s moves the scores to u - a s B w, B = L L^T the
+context's cached Gram matrix, so an accepted step costs one product B w,
+which also gives the next gradient norm sqrt(w^T B w). Z is formed once,
+as Z0 - L^T(sum_t a_t s_t w_t), and a stop is decided at that formed Z on
+its explicit gradient norm; if that norm is above grad_tol the run steps
+on. A line-search trial at step size a costs O(n): with h = a s B w its
+energy change is dE = sum(form_remainder(u, h)) - w . h, which carries
+rounding error proportional to the step, not to |E_R|; a trial is
+accepted on dE <= 0. The recorded energies are the exact E_R(Z0) plus the
+accepted changes, so with backtracking they never increase.
 
 By default the step size backtracks: a working eta starts at the configured
 value, is halved whenever a trial would raise E_R, doubled after a strictly
@@ -41,15 +35,16 @@ import numpy as np
 
 from .attention import AttentionContext
 from .energy import (
-    EXP_ARG_LIMIT,
     EnergyForm,
+    alignment_adjoint,
     alignment_scores,
     f_prime,
+    form_remainder,
+    frobenius_norm,
     linear_energy,
     reg_coeffs,
     regularized_energy,
 )
-from .linalg import frobenius_norm
 
 __all__ = [
     "DescentConfig",
@@ -119,31 +114,6 @@ class DescentTrace:
         return self.stop_reason == "diverged"
 
 
-def _form_remainder(form: EnergyForm, u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """F(u - h) - F(u) + F'(u) h per score, without subtracting F values."""
-    if form.kind == "quadratic":
-        return h * h
-    if form.kind == "exponential":
-        if np.any(u - h > EXP_ARG_LIMIT):
-            # past the limit regularized_energy raises; here it is overflow
-            return np.full_like(h, np.inf)
-        return np.exp(u) * (np.expm1(-h) + h)
-    rest = np.zeros_like(h)
-    if form.kind == "polynomial":
-        # (u - h)^p expanded from its h^2 term on; the lower terms cancel.
-        # Powers are running products, not one libm pow per element.
-        p = form.p
-        u_powers = [np.ones_like(u)]
-        for _ in range(p - 2):
-            u_powers.append(u_powers[-1] * u)
-        neg_h = -h
-        neg_h_power = neg_h
-        for k in range(2, p + 1):
-            neg_h_power = neg_h_power * neg_h
-            rest += math.comb(p, k) * u_powers[p - k] * neg_h_power
-    return rest
-
-
 def _line_search(remainder, u, delta, slope, eta, config):
     """(working eta, energy change) of the first acceptable trial step.
 
@@ -168,8 +138,9 @@ def _descend_loop(z0, u, e, grad, scores, weights, gram, lift, remainder, config
     beyond first order when the scores move by -h. Overflow after the start
     marks the trace diverged.
     """
-    w = weights(u)
-    with np.errstate(over="ignore"):
+    # a start past the float range stops the run as diverged, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = weights(u)
         grad_norm = frobenius_norm(grad)
     energies, grad_norms = [e], [grad_norm]
     z, bw, moved = z0, None, np.zeros_like(w)  # z is None once a step moved it
@@ -240,20 +211,22 @@ def descend(
 ):
     """Run the regularized dynamics from z0; returns (z_final, trace).
 
-    E_R(Z0) is evaluated once in full (and may raise); every later energy
-    is E_R(Z0) plus the accepted changes.
+    E_R(Z0) is evaluated once in full; every later energy is E_R(Z0) plus
+    the accepted changes. A start past the float range stops the run as
+    diverged without a warning; an exponential overflow still raises.
     """
     a, v = ctx.a, ctx.v
     c = reg_coeffs(a, v)
     fp_c = f_prime(form, c)
-    start = regularized_energy(form, a, z0, v, c=c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = regularized_energy(form, a, z0, v, c=c)
     return _descend_loop(
         z0, start.u, start.e_r, start.grad,
         lambda z: alignment_scores(a, z, v),
         lambda u: f_prime(form, u) - fp_c,
         lambda w: ctx.gram @ w,
-        lambda w: a @ (v * w[:, None]),
-        lambda u, h: _form_remainder(form, u, h),
+        lambda w: alignment_adjoint(a, w, v),
+        lambda u, h: form_remainder(form, u, h),
         config,
     )
 

@@ -1,23 +1,21 @@
-"""Energy functionals whose stationary point is the attention output.
+"""Every formula of the regularized energy E_R, whose stationary point is AV.
 
 A state matrix Z (n x d_v) is scored against attention weights A and
-values V through per-pattern alignment scores
+values V through the linear score map L, the per-pattern alignment scores
 
     u_j(Z) = sum_m A_mj (z_m . v_j),
 
 and an energy E(Z) = sum_j F(u_j) for a scalar form F (identity, square,
 p-th power, exponential). E alone is not stationary at Z = AV, so a linear
-regularizer
+regularizer R(Z) = -sum_j F'(c_j) u_j(Z) with c_j = u_j(AV) is added; the
+regularized gradient, with the adjoint L^T w = A diag(w) V,
 
-    R(Z) = -sum_j F'(c_j) u_j(Z),      c_j = u_j(AV),
+    grad E_R = L^T (F'(u) - F'(c)) = A diag(F'(u_j) - F'(c_j)) V
 
-is added; the regularized gradient
-
-    grad E_R = A diag(F'(u_j) - F'(c_j)) V
-
-then vanishes at Z = AV for every differentiable F. The coefficients c_j
-depend only on (A, V) and are computed in O(n^2 d_v) via G = AV,
-c_j = ((A^T G) row j) . v_j.
+then vanishes at Z = AV for every differentiable F. c = u(AV) costs
+O(n^2 d_v). The descent reads the rest from here too: the line-search
+remainder F(u - h) - F(u) + F'(u) h and the Gram matrix
+B = L L^T = (A^T A) o (V V^T), which the attention context caches.
 
 Separately, ``linear_energy``/``linear_grad`` implement the non-degenerate
 linear functional -<Z, AV> + 0.5 <Z, Z>, whose gradient Z - AV vanishes at
@@ -26,13 +24,15 @@ AV without any regularizer.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, frobenius_inner
-
 __all__ = [
+    "ShapeError",
+    "frobenius_norm",
     "EXP_ARG_LIMIT",
     "ExpOverflowError",
     "EnergyForm",
@@ -43,7 +43,10 @@ __all__ = [
     "polynomial",
     "f_apply",
     "f_prime",
+    "form_remainder",
     "alignment_scores",
+    "alignment_adjoint",
+    "alignment_gram",
     "reg_coeffs",
     "grad_unregularized",
     "regularized_energy",
@@ -55,6 +58,19 @@ __all__ = [
 EXP_ARG_LIMIT = 700.0
 
 _KINDS = ("linear", "quadratic", "polynomial", "exponential")
+
+# rows per tile when V V^T is multiplied into A^T A; one tile of V V^T is
+# 128 KiB, so no n x n V V^T is ever held
+_GRAM_TILE = 128
+
+
+class ShapeError(ValueError):
+    """Operand shapes are incompatible with the requested operation."""
+
+
+def frobenius_norm(a: np.ndarray) -> float:
+    """sqrt(sum_ik a_ik^2)."""
+    return float(np.sqrt((a * a).sum()))
 
 
 class ExpOverflowError(FloatingPointError):
@@ -78,6 +94,13 @@ class EnergyForm:
         if self.kind == "polynomial":
             if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
                 raise ValueError(f"polynomial degree must be an integer >= 1, got {self.p!r}")
+            # form_remainder needs every C(p, k) as a float; the largest is
+            # C(p, p // 2) >= 2^p / (p + 1), past the float range from p = 1100
+            if self.p >= 1100 or math.comb(self.p, self.p // 2) > sys.float_info.max:
+                raise ValueError(
+                    f"polynomial degree {self.p} is too large: its binomial coefficient "
+                    f"C({self.p}, {self.p // 2}) exceeds the float range"
+                )
         elif self.p is not None:
             raise ValueError(f"{self.kind} form takes no degree, got p={self.p!r}")
 
@@ -168,16 +191,40 @@ def f_prime(form: EnergyForm, u):
     return out if out.ndim else float(out)
 
 
-def _check_weights_values(a: np.ndarray, v: np.ndarray):
+def form_remainder(form: EnergyForm, u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """F(u - h) - F(u) + F'(u) h per score, without subtracting F values.
+
+    Its rounding error thus scales with h, not F(u). An exponential argument
+    past EXP_ARG_LIMIT gives inf, where ``f_apply`` raises.
+    """
+    if form.kind == "quadratic":
+        return h * h
+    if form.kind == "exponential":
+        if np.any(u - h > EXP_ARG_LIMIT):
+            return np.full_like(h, np.inf)
+        return np.exp(u) * (np.expm1(-h) + h)
+    rest = np.zeros_like(h)
+    if form.kind == "polynomial":
+        # (u - h)^p expanded from its h^2 term on; the lower terms cancel.
+        # Powers are running products, not one libm pow per element.
+        p = form.p
+        u_powers = [np.ones_like(u)]
+        for _ in range(p - 2):
+            u_powers.append(u_powers[-1] * u)
+        neg_h = -h
+        neg_h_power = neg_h
+        for k in range(2, p + 1):
+            neg_h_power = neg_h_power * neg_h
+            rest += math.comb(p, k) * u_powers[p - k] * neg_h_power
+    return rest
+
+
+def _check_state(a: np.ndarray, z: np.ndarray | None, v: np.ndarray):
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"attention weights must be square, got {a.shape}")
     if v.shape[0] != a.shape[0]:
         raise ShapeError(f"values {v.shape} do not match attention weights {a.shape}")
-
-
-def _check_state(a: np.ndarray, z: np.ndarray, v: np.ndarray):
-    _check_weights_values(a, v)
-    if z.shape != v.shape:
+    if z is not None and z.shape != v.shape:
         raise ShapeError(f"state {z.shape} must match the value shape {v.shape}")
 
 
@@ -190,6 +237,31 @@ def alignment_scores(a: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     return ((z.T @ a) * v.T).sum(axis=0)
 
 
+def alignment_adjoint(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """L^T w = A diag(w) V; every gradient of E_R is L^T of its score weights."""
+    return a @ (v * w[:, None])
+
+
+def alignment_gram(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """B = L L^T = (A^T A) o (V V^T), exactly symmetric for every n.
+
+    A^T A is one symmetric product. V V^T is multiplied in by 128-row tiles,
+    each off-diagonal tile formed once and applied to both mirror blocks.
+    """
+    b = a.T @ a
+    n = a.shape[0]
+    for i in range(0, n, _GRAM_TILE):
+        rows = slice(i, i + _GRAM_TILE)
+        vi = v[rows]
+        b[rows, rows] *= vi @ vi.T
+        for j in range(i + _GRAM_TILE, n, _GRAM_TILE):
+            cols = slice(j, j + _GRAM_TILE)
+            t = vi @ v[cols].T
+            b[rows, cols] *= t
+            b[cols, rows] *= t.T
+    return b
+
+
 def reg_coeffs(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """c_j = sum_m A_mj sum_l A_ml (v_l . v_j), i.e. u_j at Z = AV.
 
@@ -197,7 +269,7 @@ def reg_coeffs(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     u(AV) bit for bit and the gradient at AV is exactly 0; no n^3 product
     is formed.
     """
-    _check_weights_values(a, v)
+    _check_state(a, None, v)
     return alignment_scores(a, a @ v, v)
 
 
@@ -206,7 +278,7 @@ def grad_unregularized(
 ) -> np.ndarray:
     """(grad E)_ik = sum_j F'(u_j) A_ij V_jk."""
     u = alignment_scores(a, z, v)
-    return a @ (v * f_prime(form, u)[:, None])
+    return alignment_adjoint(a, f_prime(form, u), v)
 
 
 def regularized_energy(
@@ -228,7 +300,7 @@ def regularized_energy(
     fp_c = f_prime(form, c)
     e = float(f_apply(form, u).sum())
     r = -float((fp_c * u).sum())
-    grad = a @ (v * (fp_u - fp_c)[:, None])
+    grad = alignment_adjoint(a, fp_u - fp_c, v)
     return EnergyEval(u=u, c=c, e=e, r=r, e_r=e + r, grad=grad)
 
 
@@ -236,7 +308,7 @@ def linear_energy(z: np.ndarray, a: np.ndarray, v: np.ndarray) -> float:
     """-<Z, AV> + 0.5 <Z, Z>; minimized exactly at Z = AV."""
     _check_state(a, z, v)
     av = a @ v
-    return -frobenius_inner(z, av) + 0.5 * frobenius_inner(z, z)
+    return -float((z * av).sum()) + 0.5 * float((z * z).sum())
 
 
 def linear_grad(z: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Attention heads: closed-form linear head and iterative non-linear heads.
 
 A head projects tokens, forms the attention context, and produces a state
-matrix Z. The linear head returns Z = AV directly. Non-linear heads start
-the descent at Z0 = AV, which is already stationary for every form, so the
-unperturbed run converges at iteration 0; setting ``perturb_sigma`` > 0
-adds seeded Gaussian noise to Z0 to make the dynamics observable.
+matrix Z. The linear head runs ``linear_descent`` from Z0 = AV, where its
+gradient is exactly zero, so it returns AV itself after zero iterations.
+Non-linear heads start the descent at Z0 = AV, which is already stationary
+for every form, so the unperturbed run converges at iteration 0; setting
+``perturb_sigma`` > 0 adds seeded Gaussian noise to Z0 to make the
+dynamics observable.
 
 ``run_head`` is the one entry point from tokens and weights: it builds the
 head's context and calls ``solve_head``, which does the work from a built
@@ -20,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionContext, ProjectionWeights, build_context
-from .dynamics import DescentConfig, DescentTrace, descend
-from .energy import EnergyForm, linear_energy
-from .linalg import ShapeError
+from .dynamics import DescentConfig, DescentTrace, descend, linear_descent
+from .energy import EnergyForm, ShapeError
 from .rng import GaussianStream
 
 __all__ = ["HeadSpec", "HeadOutput", "solve_head", "run_head"]
@@ -60,10 +61,10 @@ class HeadOutput:
 def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
     """Head output from a built context, dispatching on the energy form.
 
-    The linear form gives Z = AV with no descent iterations; every other
-    form descends the regularized energy from Z0 = AV (+ seeded noise).
-    Heads that read the same tokens through the same weights can share
-    one context.
+    The linear form runs ``linear_descent`` from Z0 = AV and so returns
+    AV after zero iterations; every other form descends the regularized
+    energy from Z0 = AV (+ seeded noise). Heads that read the same tokens
+    through the same weights can share one context.
     """
     if ctx.q.shape[1] != spec.d_k or ctx.d_v != spec.d_v:
         raise ShapeError(
@@ -71,18 +72,15 @@ def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
             f"(d_k={spec.d_k}, d_v={spec.d_v})"
         )
     if spec.form.kind == "linear":
-        z = ctx.av
-        trace = DescentTrace(
-            energies=(linear_energy(z, ctx.a, ctx.v),),
-            grad_norms=(0.0,),
-            stop_reason="converged",
-        )
-        return HeadOutput(z=z, trace=trace, context=ctx)
-    z0 = ctx.av
-    if spec.perturb_sigma > 0.0:
-        noise = GaussianStream(spec.perturb_seed).matrix(ctx.n, spec.d_v)
-        z0 = ctx.av + spec.perturb_sigma * noise
-    z, trace = descend(spec.form, ctx, z0, spec.descent)
+        z, trace = linear_descent(ctx, ctx.av, spec.descent)
+    else:
+        z0 = ctx.av
+        if spec.perturb_sigma > 0.0:
+            noise = GaussianStream(spec.perturb_seed).matrix(ctx.n, spec.d_v)
+            # a start past the float range stops the descent as diverged
+            with np.errstate(over="ignore", invalid="ignore"):
+                z0 = ctx.av + spec.perturb_sigma * noise
+        z, trace = descend(spec.form, ctx, z0, spec.descent)
     return HeadOutput(z=z, trace=trace, context=ctx)
 
 

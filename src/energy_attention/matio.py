@@ -12,9 +12,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_matrix
+from .energy import ShapeError
 
 __all__ = ["dumps_matrix", "save_matrix", "load_matrix"]
+
+
+def _as_matrix(data, name: str = "matrix") -> np.ndarray:
+    """Coerce ``data`` to a fresh 2-D float64 array with finite entries."""
+    m = np.array(data, dtype=np.float64, order="C")
+    if m.ndim != 2:
+        raise ShapeError(f"{name} must be 2-D, got {m.ndim} dimension(s)")
+    if m.shape[0] < 1 or m.shape[1] < 1:
+        raise ShapeError(f"{name} must have positive dimensions, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
 
 
 def dumps_matrix(name: str, m: np.ndarray) -> str:
@@ -27,7 +39,7 @@ def dumps_matrix(name: str, m: np.ndarray) -> str:
 
 
 def save_matrix(path, name: str, m: np.ndarray) -> None:
-    Path(path).write_text(dumps_matrix(name, as_matrix(m, name)), encoding="utf-8")
+    Path(path).write_text(dumps_matrix(name, _as_matrix(m, name)), encoding="utf-8")
 
 
 def load_matrix(path):
@@ -55,4 +67,4 @@ def load_matrix(path):
         values = None
     if values is None or values.ndim != 1 or values.dtype.kind not in "iuf":
         raise ValueError(f"{path}: data must be a flat list of numbers")
-    return obj["name"], as_matrix(values.reshape(rows, cols), obj["name"])
+    return obj["name"], _as_matrix(values.reshape(rows, cols), obj["name"])

@@ -22,10 +22,10 @@ from .energy import (
     EnergyEval,
     EnergyForm,
     ExpOverflowError,
+    frobenius_norm,
     reg_coeffs,
     regularized_energy,
 )
-from .linalg import frobenius_norm
 
 __all__ = [
     "BRUTE_FORCE_MAX_N",

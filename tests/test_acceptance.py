@@ -14,13 +14,13 @@ from energy_attention.energy import (
     EXPONENTIAL,
     LINEAR,
     QUADRATIC,
+    frobenius_norm,
     grad_unregularized,
     linear_grad,
     polynomial,
     reg_coeffs,
     regularized_energy,
 )
-from energy_attention.linalg import frobenius_norm
 from energy_attention.verify import bruteforce_energy, compare_gradients, fd_gradient, gradcheck, stationarity_check
 
 from helpers import gaussian_head_inputs, random_attention, wellconditioned_head_seeds

@@ -13,8 +13,7 @@ from energy_attention.attention import (
     row_softmax,
     scaled_scores,
 )
-from energy_attention.energy import alignment_scores
-from energy_attention.linalg import ShapeError
+from energy_attention.energy import ShapeError, alignment_scores
 
 from helpers import gaussian_head_inputs
 

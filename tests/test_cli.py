@@ -294,6 +294,29 @@ class TestRun:
         code = run_cli("run", "--config", str(cfg), "--in", str(data), "--out", str(tmp_path / "r.json"))
         assert code == EXIT_DIVERGED
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n": 64, "d_v": 4},
+            {"n": 4, "d_v": 2},
+            {"n": 4, "d_v": 2, "form": {"kind": "polynomial", "p": 4}},
+        ],
+    )
+    def test_overflowing_start_diverges_quietly_into_standard_json(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, perturb_sigma=1e308, **overrides)
+        code, _ = self.gen_and_run(tmp_path, cfg, "--emit-z")
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == ""
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        head = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)["heads"][0]
+        assert head["diverged"] and head["energy_initial"] is None
+        assert run_cli("trace", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == EXIT_DIVERGED
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -577,7 +600,9 @@ class TestSweepCommand:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("param, values", [("d_k", "4,2,0"), ("eta", "0.01,0"), ("p", "3,0")])
+    @pytest.mark.parametrize(
+        "param, values", [("d_k", "4,2,0"), ("eta", "0.01,0"), ("p", "3,0"), ("p", "3,1030")]
+    )
     def test_invalid_late_value_exits_2_before_any_head(self, tmp_path, monkeypatch, capsys, param, values):
         cfg = write_config(tmp_path, form={"kind": "polynomial", "p": 2})
         out = tmp_path / "s.csv"

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 import energy_attention as ea
-from energy_attention.dynamics import (
-    DescentConfig,
-    DescentTrace,
-    _form_remainder,
-    descend,
-    linear_descent,
+from energy_attention.dynamics import DescentConfig, DescentTrace, descend, linear_descent
+from energy_attention.energy import (
+    EXPONENTIAL,
+    QUADRATIC,
+    form_remainder,
+    frobenius_norm,
+    polynomial,
 )
-from energy_attention.energy import EXPONENTIAL, QUADRATIC, polynomial
-from energy_attention.linalg import frobenius_norm
 
 from helpers import gaussian_head_inputs, wellconditioned_head_seeds
 
@@ -41,7 +40,7 @@ def test_form_remainder_matches_exact_rationals(form):
     rng = np.random.default_rng(p)
     u = rng.standard_normal(64) * 10.0 ** rng.uniform(-2, 2, 64)
     h = u * 10.0 ** rng.uniform(-6, 0, 64) * rng.choice([-1.0, 1.0], 64)
-    got = _form_remainder(form, u, h)
+    got = form_remainder(form, u, h)
     for uj, hj, rj in zip(u, h, got):
         fu, fh = Fraction(uj), Fraction(hj)
         exact = (fu - fh) ** p - fu**p + p * fu ** (p - 1) * fh

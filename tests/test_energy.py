@@ -16,6 +16,7 @@ from energy_attention.energy import (
     alignment_scores,
     f_apply,
     f_prime,
+    form_remainder,
     grad_unregularized,
     linear_energy,
     linear_grad,
@@ -51,6 +52,14 @@ class TestEnergyForm:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             EnergyForm("cubic-spline")
+
+    def test_degree_is_capped_where_its_binomials_leave_the_float_range(self):
+        # C(1029, 514) < max float < C(1030, 515)
+        rest = form_remainder(polynomial(1029), np.array([0.5]), np.array([1e-3]))
+        assert np.isfinite(rest).all()
+        for p in (1030, 10**9):
+            with pytest.raises(ValueError, match=r"exceeds the float range"):
+                polynomial(p)
 
     def test_labels(self):
         assert QUADRATIC.label == "quadratic"

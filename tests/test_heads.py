@@ -3,9 +3,15 @@ import pytest
 
 import energy_attention as ea
 from energy_attention import heads
-from energy_attention.energy import EXPONENTIAL, LINEAR, QUADRATIC, ExpOverflowError, polynomial
+from energy_attention.energy import (
+    EXPONENTIAL,
+    LINEAR,
+    QUADRATIC,
+    ExpOverflowError,
+    ShapeError,
+    polynomial,
+)
 from energy_attention.heads import HeadSpec, run_head, solve_head
-from energy_attention.linalg import ShapeError
 
 from helpers import gaussian_head_inputs, wellconditioned_head_seeds
 
@@ -38,7 +44,9 @@ class TestLinearHead:
         out = run_head(x, w, spec_for(LINEAR))
         assert out.trace.iters == 0 and out.trace.converged
         assert out.trace.grad_norms == (0.0,)
-        assert len(out.trace.energies) == 1
+        ctx = out.context
+        assert out.trace.energies == (ea.linear_energy(ctx.av, ctx.a, ctx.v),)
+        assert out.z is ctx.av
 
 
 class TestNonlinearHead:
