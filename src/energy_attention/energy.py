@@ -48,6 +48,7 @@ __all__ = [
     "alignment_adjoint",
     "alignment_gram",
     "reg_coeffs",
+    "energy_sums",
     "grad_unregularized",
     "regularized_energy",
     "linear_energy",
@@ -134,7 +135,9 @@ class EnergyEval:
 
 def _checked_exp_args(u: np.ndarray) -> np.ndarray:
     if np.any(u > EXP_ARG_LIMIT):
-        worst = float(np.max(u))
+        # the largest argument of the first state (row of a stack) past the limit
+        states = u.reshape(-1, u.shape[-1]) if u.ndim else u.reshape(1, 1)
+        worst = float(states[(states > EXP_ARG_LIMIT).any(axis=1).argmax()].max())
         raise ExpOverflowError(
             f"exponential energy argument {worst:.6g} exceeds the overflow "
             f"limit {EXP_ARG_LIMIT:g}"
@@ -224,17 +227,17 @@ def _check_state(a: np.ndarray, z: np.ndarray | None, v: np.ndarray):
         raise ShapeError(f"attention weights must be square, got {a.shape}")
     if v.shape[0] != a.shape[0]:
         raise ShapeError(f"values {v.shape} do not match attention weights {a.shape}")
-    if z is not None and z.shape != v.shape:
+    if z is not None and z.shape[-2:] != v.shape:
         raise ShapeError(f"state {z.shape} must match the value shape {v.shape}")
 
 
 def alignment_scores(a: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u_j = sum_m A_mj (z_m . v_j), evaluated as ((Z^T A) column j) . v_j.
 
-    Z^T A reads A in its stored row-major order.
+    Z^T A reads A in its stored row-major order; a stack of states is scored state by state.
     """
     _check_state(a, z, v)
-    return ((z.T @ a) * v.T).sum(axis=0)
+    return ((np.swapaxes(z, -1, -2) @ a) * v.T).sum(axis=-2)
 
 
 def alignment_adjoint(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -273,6 +276,11 @@ def reg_coeffs(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return alignment_scores(a, a @ v, v)
 
 
+def energy_sums(form: EnergyForm, u: np.ndarray, fp_c: np.ndarray):
+    """(E, R) = (sum_j F(u_j), -sum_j F'(c_j) u_j), summed over the last axis of u."""
+    return f_apply(form, u).sum(axis=-1), -(fp_c * u).sum(axis=-1)
+
+
 def grad_unregularized(
     form: EnergyForm, a: np.ndarray, z: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
@@ -298,8 +306,7 @@ def regularized_energy(
     u = alignment_scores(a, z, v)
     fp_u = f_prime(form, u)
     fp_c = f_prime(form, c)
-    e = float(f_apply(form, u).sum())
-    r = -float((fp_c * u).sum())
+    e, r = map(float, energy_sums(form, u, fp_c))
     grad = alignment_adjoint(a, fp_u - fp_c, v)
     return EnergyEval(u=u, c=c, e=e, r=r, e_r=e + r, grad=grad)
 

@@ -50,7 +50,10 @@ def load_matrix(path):
     entry. So a list mixing numbers and booleans is still promoted:
     ``[1.5, true]`` loads as ``[1.5, 1.0]``.
     """
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    # the writer's %.17g spells -0.0 as "-0", which JSON reads as the int 0
+    obj = json.loads(
+        Path(path).read_text(encoding="utf-8"), parse_int=lambda s: -0.0 if s == "-0" else int(s)
+    )
     required = {"name", "rows", "cols", "data"}
     if not isinstance(obj, dict) or set(obj) != required:
         raise ValueError(f"{path}: matrix file must be an object with the keys {sorted(required)}")

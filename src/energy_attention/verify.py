@@ -3,8 +3,8 @@
 Three cross-checks, each deliberately computed along a different route
 than the code it verifies:
 
-* central finite differences of the scalar energy against the analytic
-  gradient,
+* central finite differences of the scalar energy (on stacks of probe
+  states) against the analytic gradient,
 * a stationarity probe of grad E_R at Z = AV,
 * a brute-force evaluation of every index-sum formula with plain Python
   loops and ``math`` scalars (no matrix products at all).
@@ -22,6 +22,9 @@ from .energy import (
     EnergyEval,
     EnergyForm,
     ExpOverflowError,
+    alignment_scores,
+    energy_sums,
+    f_prime,
     frobenius_norm,
     reg_coeffs,
     regularized_energy,
@@ -40,6 +43,7 @@ __all__ = [
 
 # O(n^3 d_v) Python loops stay sub-second below this token count.
 BRUTE_FORCE_MAX_N = 16
+_PROBE_CHUNK_BYTES = 128 * 1024  # of probe states per stacked call of fd_gradient's energies
 
 
 @dataclass(frozen=True)
@@ -58,33 +62,41 @@ class StationarityReport:
     passed: bool
 
 
-def fd_gradient(energy_fn, z: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of Z.
+def fd_gradient(energies, z: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of ``energies``, which maps a (p, n, d_v) stack of states to p energies.
 
-    The step is scaled per entry, h_eff = h * (1 + |Z_ik|), so mixed
-    magnitudes inside one iterate are probed at comparable relative
-    resolution.
+    Entry (i, k) is probed at Z_ik +- h * (1 + |Z_ik|), so mixed magnitudes get comparable relative
+    resolution. Probes go entry-major, plus before minus, in stacks of at most _PROBE_CHUNK_BYTES
+    (one entry at least); an error names the first state or entry in that order.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"finite-difference step must be finite and positive, got {h}")
-    grad = np.empty_like(z, dtype=np.float64)
+    flat = z.ravel()
+    steps = h * (1.0 + np.abs(flat))
+    probed = np.column_stack([flat + steps, flat - steps]).ravel()  # states 2e, 2e + 1 probe e
+    energy = np.empty(probed.size)
+    chunk, start = 2 * max(1, _PROBE_CHUNK_BYTES // (16 * max(flat.size, 1))), 0
     # a probe past the float range is reported below, not warned on
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(z.shape[0]):
-            for k in range(z.shape[1]):
-                step = h * (1.0 + abs(float(z[i, k])))
-                z_plus = z.copy()
-                z_plus[i, k] += step
-                z_minus = z.copy()
-                z_minus[i, k] -= step
-                e_plus = energy_fn(z_plus)
-                e_minus = energy_fn(z_minus)
-                if not (math.isfinite(e_plus) and math.isfinite(e_minus)):
-                    raise FloatingPointError(
-                        f"finite-difference probe is non-finite at entry ({i}, {k})"
-                    )
-                grad[i, k] = (e_plus - e_minus) / (2.0 * step)
-    return grad
+        while start < probed.size:
+            stop = min(start + chunk, probed.size)
+            states = np.repeat(flat[None], stop - start, axis=0)
+            states[np.arange(stop - start), np.arange(start, stop) // 2] = probed[start:stop]
+            try:
+                energy[start:stop] = energies(states.reshape(-1, *z.shape))
+            except ExpOverflowError:
+                if chunk == 2:
+                    raise
+                chunk = 2  # again entry by entry: a non-finite entry before it comes first
+                continue
+            bad = ~np.isfinite(energy[start:stop]).reshape(-1, 2).all(axis=1)
+            if bad.any():
+                i, k = np.unravel_index(start // 2 + int(bad.argmax()), z.shape)
+                raise FloatingPointError(
+                    f"finite-difference probe is non-finite at entry ({i}, {k})"
+                )
+            start = stop
+        return ((energy[0::2] - energy[1::2]) / (2.0 * steps)).reshape(z.shape)
 
 
 def compare_gradients(
@@ -118,7 +130,10 @@ def gradcheck(
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     c = reg_coeffs(a, v)
     analytic = regularized_energy(form, a, z, v, c=c).grad
-    numeric = fd_gradient(lambda zz: regularized_energy(form, a, zz, v, c=c).e_r, z, h)
+    fp_c = f_prime(form, c)  # E_R of each stacked state, summed as in regularized_energy
+    numeric = fd_gradient(
+        lambda zs: np.add(*energy_sums(form, alignment_scores(a, zs, v), fp_c)), z, h
+    )
     return compare_gradients(analytic, numeric, h, tol)
 
 

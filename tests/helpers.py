@@ -20,6 +20,11 @@ def gaussian_head_inputs(seed, n, d, d_k, d_v, scale=None):
     return x, w
 
 
+def stacked(energy_fn):
+    """``fd_gradient``'s stack form of a one-state energy: one call per state."""
+    return lambda states: [energy_fn(z) for z in states]
+
+
 def random_attention(rng, n, sharpness=1.0):
     """Row-stochastic attention weights from random scores."""
     return ea.row_softmax(sharpness * rng.normal(size=(n, n)))

@@ -23,7 +23,7 @@ from energy_attention.energy import (
 )
 from energy_attention.verify import bruteforce_energy, compare_gradients, fd_gradient, gradcheck, stationarity_check
 
-from helpers import gaussian_head_inputs, random_attention, wellconditioned_head_seeds
+from helpers import gaussian_head_inputs, random_attention, stacked, wellconditioned_head_seeds
 
 UNIFIED_FORMS = [LINEAR, QUADRATIC, polynomial(1), polynomial(2), polynomial(3), polynomial(4), EXPONENTIAL]
 
@@ -79,7 +79,7 @@ def test_criterion_02_gradient_correctness():
         a = random_attention(rng, n)
         v = rng.normal(size=(n, d_v))
         z = rng.normal(size=(n, d_v))
-        numeric = fd_gradient(lambda m: ea.linear_energy(m, a, v), z, 1e-6)
+        numeric = fd_gradient(stacked(lambda m: ea.linear_energy(m, a, v)), z, 1e-6)
         report = compare_gradients(linear_grad(z, a, v), numeric, h=1e-6, tol=1e-5)
         worst = max(worst, report.max_rel_err)
         assert report.passed

@@ -507,6 +507,46 @@ def test_exponential_overflow_in_a_probe_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exponential_overflow_names_the_first_overflowing_probe(tmp_path, capsys):
+    # the probes run entry-major, plus before minus; the first one past the
+    # limit is named, not the largest argument of any probe
+    cfg = write_config(tmp_path, n=48, d=16, d_k=8, d_v=8, form={"kind": "exponential"}, seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("gradcheck", "--config", str(cfg), "--h", "1e300")
+    assert code == EXIT_DIVERGED
+    assert capsys.readouterr().err == (
+        "error: exponential energy argument 1.43319e+298 exceeds the overflow limit 700\n"
+    )
+
+
+# sha256 of the gradcheck and stationarity reports at the verify-probes
+# shape, recorded when every probe state was evaluated by its own call
+PROBE_REPORT_GOLDEN = {
+    ("linear", "gradcheck"): "da17033202d8c95b5c5c1252caf596f1a2cc4b072d009d4652ad6c4496d1482e",
+    ("linear", "stationarity"): "53da9e03480321669234ce673155cda39ecb0b60fdf89625d92989f040b49c90",
+    ("quadratic", "gradcheck"): "53f1ccc65e66fde861ff46e78772e1a824ba4da7e795e5c8dee8507d79bdd914",
+    ("quadratic", "stationarity"): "442b94191c7e299b170484bae9d908d8862a235c2262017db0e5dc38574afed1",
+    ("polynomial", "gradcheck"): "168dfe7e77ad1ecfc58d93969d0327e1e81659250fd4cb99f0f1c60cee8698dd",
+    ("polynomial", "stationarity"): "dc8eeaeaf00f2d704960823fa88f777af59f6d6c7e63ba2f3a1ae752b4aa3f6b",
+    ("exponential", "gradcheck"): "ace04fe3832f2efab0b4336feda5c6f694f1fe887151cf264852c53dbf3e2735",
+    ("exponential", "stationarity"): "a766d48604f58938455a3cbce9e5945c1371dc94e4baa8cd5d51a8404cbb21d2",
+}
+
+
+@pytest.mark.parametrize(
+    "form",
+    [{"kind": "linear"}, {"kind": "quadratic"}, {"kind": "polynomial", "p": 4}, {"kind": "exponential"}],
+)
+@pytest.mark.parametrize("command", ["gradcheck", "stationarity"])
+def test_probe_reports_are_byte_identical_to_golden(tmp_path, form, command):
+    cfg = write_config(tmp_path, n=48, d=16, d_k=8, d_v=8, form=form)
+    out = tmp_path / "report.json"
+    assert run_cli(command, "--config", str(cfg), "--out", str(out)) == EXIT_OK
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PROBE_REPORT_GOLDEN[form["kind"], command]
+
+
 class TestTraceCommand:
     def test_converged_at_start_writes_single_row(self, tmp_path):
         cfg = write_config(tmp_path, perturb_sigma=0.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import energy_attention as ea
 from energy_attention.energy import (
@@ -14,9 +15,11 @@ from energy_attention.energy import (
     EnergyForm,
     ExpOverflowError,
     alignment_scores,
+    energy_sums,
     f_apply,
     f_prime,
     form_remainder,
+    frobenius_norm,
     grad_unregularized,
     linear_energy,
     linear_grad,
@@ -138,6 +141,23 @@ class TestAlignmentScores:
 
     def test_uniform_attention(self):
         np.testing.assert_allclose(alignment_scores(A_UNIFORM, AV13, V13), [2.0, 6.0])
+
+
+    def test_a_stack_of_states_scores_like_each_state_alone(self):
+        rng = np.random.default_rng(9)
+        a, v = random_attention(rng, 13), rng.normal(size=(13, 3))
+        states = rng.normal(size=(5, 13, 3))
+        c = reg_coeffs(a, v)
+        u = alignment_scores(a, states, v)
+        e, r = energy_sums(polynomial(4), u, f_prime(polynomial(4), c))
+        for s, z in enumerate(states):
+            one = regularized_energy(polynomial(4), a, z, v, c=c)
+            assert u[s].tobytes() == one.u.tobytes()
+            assert np.array([e[s], r[s]]).tobytes() == np.array([one.e, one.r]).tobytes()
+
+    def test_stack_must_end_in_the_value_shape(self):
+        with pytest.raises(ea.ShapeError):
+            alignment_scores(I2, np.zeros((3, 1, 2)), V12)
 
 
 class TestRegCoeffs:
@@ -309,6 +329,38 @@ def test_av_is_global_minimum_of_convex_forms(seed):
         at_min = regularized_energy(form, a, av, v).e_r
         nearby = regularized_energy(form, a, av + delta, v).e_r
         assert nearby >= at_min - 1e-9
+
+
+class TestFrobeniusNorm:
+    def test_zero(self):
+        assert frobenius_norm(np.zeros((3, 3))) == 0.0
+
+    def test_identity(self):
+        assert frobenius_norm(I2) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+    def test_three_four_five(self):
+        assert frobenius_norm(np.array([[3.0], [4.0]])) == 5.0
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_norm_squared_equals_self_inner(data):
+    dims = st.integers(min_value=1, max_value=8)
+    well_scaled = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+    m = data.draw(arrays(np.float64, (data.draw(dims), data.draw(dims)), elements=well_scaled))
+    norm_sq = frobenius_norm(m) ** 2
+    inner = float(np.diagonal(m.T @ m).sum())
+    assert abs(norm_sq - inner) <= 1e-12 * (1.0 + inner)
+
+
+def test_overflow_names_the_largest_argument_of_the_first_offending_state():
+    with pytest.raises(ExpOverflowError, match="argument 900 exceeds"):
+        f_apply(EXPONENTIAL, np.array([701.0, 900.0, 0.0]))
+    stack = np.array([[0.0, 1.0], [701.0, 702.0], [900.0, 0.0]])
+    with pytest.raises(ExpOverflowError, match="argument 702 exceeds"):
+        f_apply(EXPONENTIAL, stack)
+    with pytest.raises(ExpOverflowError, match="argument 702 exceeds"):
+        f_prime(EXPONENTIAL, stack.reshape(3, 1, 2))
 
 
 def test_overflow_propagates_through_bundle():

@@ -3,7 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from energy_attention.matio import dumps_matrix, load_matrix, save_matrix
+from energy_attention.energy import ShapeError
+from energy_attention.matio import _as_matrix, dumps_matrix, load_matrix, save_matrix
+
+
+class TestAsMatrix:
+    def test_rejects_non_2d(self):
+        with pytest.raises(ShapeError):
+            _as_matrix([1.0, 2.0])
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            _as_matrix([[1.0, np.nan]])
+
+    def test_copies_input(self):
+        src = np.ones((2, 2))
+        m = _as_matrix(src)
+        m[0, 0] = 5.0
+        assert src[0, 0] == 1.0
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -14,6 +31,16 @@ def test_round_trip_is_bit_exact(tmp_path):
     name, back = load_matrix(path)
     assert name == "M"
     assert np.array_equal(back, m)
+
+
+def test_negative_zero_round_trips(tmp_path):
+    m = np.array([[-0.0, 0.0, 1.0]])
+    path = tmp_path / "m.json"
+    save_matrix(path, "M", m)
+    assert '"data": [-0, 0, 1]' in path.read_text()
+    _, back = load_matrix(path)
+    assert np.array_equal(np.signbit(back), np.signbit(m))
+    assert back.dtype == np.float64
 
 
 def test_serialization_is_deterministic():

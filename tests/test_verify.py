@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import energy_attention as ea
+from energy_attention import verify
+from energy_attention.attention import build_context
 from energy_attention.energy import (
     EXPONENTIAL,
     LINEAR,
     QUADRATIC,
+    ExpOverflowError,
     frobenius_norm,
     grad_unregularized,
     polynomial,
@@ -21,7 +26,7 @@ from energy_attention.verify import (
     stationarity_check,
 )
 
-from helpers import random_attention
+from helpers import gaussian_head_inputs, random_attention, stacked
 
 I2 = np.eye(2)
 V12 = np.array([[1.0], [2.0]])
@@ -33,7 +38,7 @@ class TestFdGradient:
     def test_quadratic_energy_is_exact(self):
         rng = np.random.default_rng(0)
         z = rng.normal(size=(3, 2))
-        fd = fd_gradient(lambda m: 0.5 * float((m * m).sum()), z, 1e-6)
+        fd = fd_gradient(stacked(lambda m: 0.5 * float((m * m).sum())), z, 1e-6)
         np.testing.assert_allclose(fd, z, atol=1e-8)
 
     def test_constant_energy(self):
@@ -43,7 +48,7 @@ class TestFdGradient:
     def test_matches_hand_computed_gradient(self):
         c = reg_coeffs(I2, V12)
         fd = fd_gradient(
-            lambda z: regularized_energy(QUADRATIC, I2, z, V12, c=c).e_r,
+            stacked(lambda z: regularized_energy(QUADRATIC, I2, z, V12, c=c).e_r),
             np.zeros((2, 1)),
             1e-6,
         )
@@ -54,6 +59,9 @@ class TestFdGradient:
             fd_gradient(lambda m: float("inf"), np.zeros((2, 2)), 1e-6)
         assert "(0, 0)" in str(err.value)
 
+    def test_empty_state_has_an_empty_gradient(self):
+        assert fd_gradient(stacked(lambda m: 0.0), np.zeros((0, 3)), 1e-6).shape == (0, 3)
+
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             fd_gradient(lambda m: 0.0, np.zeros((1, 1)), 0.0)
@@ -62,6 +70,101 @@ class TestFdGradient:
     def test_rejects_non_finite_step(self, h):
         with pytest.raises(ValueError, match="finite and positive"):
             fd_gradient(lambda m: 0.0, np.zeros((1, 1)), h)
+
+
+def per_state_fd(energy_fn, z, h):
+    """Central differences with one energy call per probe state, entry-major."""
+    grad = np.empty_like(z)
+    for i in range(z.shape[0]):
+        for k in range(z.shape[1]):
+            step = h * (1.0 + abs(float(z[i, k])))
+            z_plus, z_minus = z.copy(), z.copy()
+            z_plus[i, k] += step
+            z_minus[i, k] -= step
+            grad[i, k] = (energy_fn(z_plus) - energy_fn(z_minus)) / (2.0 * step)
+    return grad
+
+
+def scripted_energies(outcomes):
+    """Energies of the probes of Z = 0 at h = 1, keyed by (flat entry, sign).
+
+    A state scripted "overflow" raises like ``f_apply`` does (naming the
+    first such state of the stack); one scripted "inf" has energy inf.
+    """
+
+    def energies(states):
+        flat = states.reshape(len(states), -1)
+        keys = [(int(e), int(row[e])) for row, e in zip(flat, np.abs(flat).argmax(axis=1))]
+        for key in keys:
+            if outcomes.get(key) == "overflow":
+                raise ExpOverflowError(f"state {key}")
+        return [np.inf if outcomes.get(key) == "inf" else 0.0 for key in keys]
+
+    return energies
+
+
+class TestStackedProbes:
+    @pytest.mark.parametrize("states_per_chunk", [None, 1, 10])
+    @pytest.mark.parametrize("form", ALL_FORMS, ids=lambda form: form.label)
+    def test_gradcheck_equals_a_per_state_loop_bit_for_bit(self, monkeypatch, form, states_per_chunk):
+        # a stack holds whole entries: one state's bytes give one entry a
+        # stack, ten give five entries, which divides neither n d_v below
+        captured = []
+
+        def spy(energies, z, h):
+            captured.append(real_fd_gradient(energies, z, h))
+            return captured[-1]
+
+        real_fd_gradient = verify.fd_gradient
+        monkeypatch.setattr(verify, "fd_gradient", spy)
+        for seed, n, d_v in ((3, 48, 8), (4, 13, 3)):
+            if states_per_chunk is not None:
+                monkeypatch.setattr(verify, "_PROBE_CHUNK_BYTES", states_per_chunk * 8 * n * d_v)
+            x, w = gaussian_head_inputs(seed, n, 16, 8, d_v)
+            ctx = build_context(x, w)
+            z = ea.GaussianStream(seed + 100).matrix(n, d_v)
+            c = reg_coeffs(ctx.a, ctx.v)
+            expected = per_state_fd(
+                lambda m: regularized_energy(form, ctx.a, m, ctx.v, c=c).e_r, z, 1e-6
+            )
+            gradcheck(form, ctx.a, ctx.v, z)
+            np.testing.assert_array_equal(captured[-1].view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("states_per_chunk", [2, 6, 8])
+    @pytest.mark.parametrize(
+        "outcomes, error, message",
+        [
+            # entry 1's minus probe is non-finite before entry 2's plus overflows
+            ({(1, -1): "inf", (2, 1): "overflow"}, FloatingPointError, r"at entry \(0, 1\)"),
+            ({(1, -1): "overflow", (2, 1): "inf"}, ExpOverflowError, r"state \(1, -1\)"),
+            # an entry is checked only once both its probes are evaluated
+            ({(1, 1): "inf", (1, -1): "overflow"}, ExpOverflowError, r"state \(1, -1\)"),
+            ({(2, -1): "overflow", (3, 1): "overflow"}, ExpOverflowError, r"state \(2, -1\)"),
+            ({(3, -1): "inf", (2, 1): "inf"}, FloatingPointError, r"at entry \(1, 0\)"),
+        ],
+    )
+    def test_errors_name_what_the_per_state_order_reaches_first(
+        self, monkeypatch, states_per_chunk, outcomes, error, message
+    ):
+        monkeypatch.setattr(verify, "_PROBE_CHUNK_BYTES", states_per_chunk * 8 * 4)
+        with pytest.raises(error, match=message) as raised:
+            fd_gradient(scripted_energies(outcomes), np.zeros((2, 2)), 1.0)
+        # an overflow is not reported as a non-finite probe, nor the reverse
+        assert isinstance(raised.value, ExpOverflowError) == (error is ExpOverflowError)
+
+    def test_probe_stacks_stay_small(self):
+        rng = np.random.default_rng(0)
+        n, d_v = 256, 8
+        a = random_attention(rng, n)
+        v, z = rng.normal(size=(n, d_v)), rng.normal(size=(n, d_v))
+        tracemalloc.start()
+        try:
+            gradcheck(QUADRATIC, a, v, z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one stack of all 4096 probe states would take 64 MiB
+        assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
@@ -99,7 +202,7 @@ class TestGradcheck:
         z = rng.normal(size=(4, 2))
         c = reg_coeffs(a, v)
         analytic = regularized_energy(QUADRATIC, a, z, v, c=c).grad
-        numeric = fd_gradient(lambda m: regularized_energy(QUADRATIC, a, m, v, c=c).e_r, z, 1e-6)
+        numeric = fd_gradient(stacked(lambda m: regularized_energy(QUADRATIC, a, m, v, c=c).e_r), z, 1e-6)
         report = compare_gradients(-analytic, numeric, h=1e-6, tol=1e-5)
         assert not report.passed
         i, k = report.worst_index
