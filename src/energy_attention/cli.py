@@ -10,9 +10,10 @@ non-finite float (a diverged start, say) as null. The fields of
 ``sweep`` accepts and the sweep CSV's columns all derive from them. Every
 integer or float key but ``heads`` can be swept, and so can the degree
 ``p``. Reports contain no timestamps, so identical configs produce
-byte-identical report bodies; the sweep CSV's wall_time_ms column is the
-one non-deterministic field anywhere. Probe flags must be finite, with
-``--h`` > 0 and ``--tol`` >= 0.
+byte-identical report bodies under one BLAS thread count (with another,
+BLAS may sum a product in another order and change the last digits); the
+sweep CSV's wall_time_ms column is the one non-deterministic field. Probe
+flags must be finite, with ``--h`` > 0 and ``--tol`` >= 0.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
 (including a finite-difference probe that leaves the float range),

@@ -5,10 +5,11 @@ values V through the linear score map L, the per-pattern alignment scores
 
     u_j(Z) = sum_m A_mj (z_m . v_j),
 
-and an energy E(Z) = sum_j F(u_j) for a scalar form F (identity, square,
-p-th power, exponential). E alone is not stationary at Z = AV, so a linear
-regularizer R(Z) = -sum_j F'(c_j) u_j(Z) with c_j = u_j(AV) is added; the
-regularized gradient, with the adjoint L^T w = A diag(w) V,
+and an energy E(Z) = sum_j F(u_j) for a scalar form F: a power u^p, whose
+degrees 1 and 2 are the linear and quadratic forms and take the same path,
+or e^u. E alone is not stationary at Z = AV, so a linear regularizer
+R(Z) = -sum_j F'(c_j) u_j(Z) with c_j = u_j(AV) is added; the regularized
+gradient, with the adjoint L^T w = A diag(w) V,
 
     grad E_R = L^T (F'(u) - F'(c)) = A diag(F'(u_j) - F'(c_j)) V
 
@@ -17,9 +18,9 @@ O(n^2 d_v). The descent reads the rest from here too: the line-search
 remainder F(u - h) - F(u) + F'(u) h and the Gram matrix
 B = L L^T = (A^T A) o (V V^T), which the attention context caches.
 
-Separately, ``linear_energy``/``linear_grad`` implement the non-degenerate
-linear functional -<Z, AV> + 0.5 <Z, Z>, whose gradient Z - AV vanishes at
-AV without any regularizer.
+For F(u) = u, E_R is identically 0, so the linear head descends (and the
+probes check) ``linear_energy``/``linear_grad`` instead: the functional
+-<Z, AV> + 0.5 <Z, Z>, whose gradient Z - AV vanishes at AV unregularized.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ class ExpOverflowError(FloatingPointError):
 class EnergyForm:
     """Scalar form F applied to each alignment score.
 
-    kind is one of "linear" (F(u) = u), "quadratic" (u^2),
-    "polynomial" (u^p, degree p >= 1) or "exponential" (e^u).
+    kind is "linear" (F(u) = u), "quadratic" (u^2), "polynomial" (u^p, p >= 1), "exponential" (e^u).
     """
 
     kind: str
@@ -104,6 +104,11 @@ class EnergyForm:
                 )
         elif self.p is not None:
             raise ValueError(f"{self.kind} form takes no degree, got p={self.p!r}")
+
+    @property
+    def degree(self) -> int | None:
+        """p of the power u^p that F is (linear 1, quadratic 2); None for e^u."""
+        return {"linear": 1, "quadratic": 2, "polynomial": self.p}.get(self.kind)
 
     @property
     def label(self) -> str:
@@ -165,32 +170,20 @@ def _power(u: np.ndarray, k: int) -> np.ndarray:
 def f_apply(form: EnergyForm, u):
     """F(u) for scalar or array u."""
     u = np.asarray(u, dtype=np.float64)
-    if form.kind == "linear":
-        out = u + 0.0
-    elif form.kind == "quadratic":
-        out = u * u
-    elif form.kind == "polynomial":
-        out = _power(u, form.p)
-    else:
-        out = np.exp(_checked_exp_args(u))
+    p = form.degree
+    out = np.exp(_checked_exp_args(u)) if p is None else _power(u, p)
     return out if out.ndim else float(out)
 
 
 def f_prime(form: EnergyForm, u):
     """Exact derivative F'(u) for scalar or array u.
 
-    Polynomial powers are formed by multiplication, not ``pow``, so F'(u)
-    is within p ulp of the correctly rounded p u^(p-1).
+    Powers are formed by multiplication, not ``pow``, so F'(u) is within
+    p ulp of the correctly rounded p u^(p-1).
     """
     u = np.asarray(u, dtype=np.float64)
-    if form.kind == "linear":
-        out = np.ones_like(u)
-    elif form.kind == "quadratic":
-        out = 2.0 * u
-    elif form.kind == "polynomial":
-        out = form.p * _power(u, form.p - 1)
-    else:
-        out = np.exp(_checked_exp_args(u))
+    p = form.degree
+    out = np.exp(_checked_exp_args(u)) if p is None else p * _power(u, p - 1)
     return out if out.ndim else float(out)
 
 
@@ -200,25 +193,22 @@ def form_remainder(form: EnergyForm, u: np.ndarray, h: np.ndarray) -> np.ndarray
     Its rounding error thus scales with h, not F(u). An exponential argument
     past EXP_ARG_LIMIT gives inf, where ``f_apply`` raises.
     """
-    if form.kind == "quadratic":
-        return h * h
-    if form.kind == "exponential":
+    p = form.degree
+    if p is None:
         if np.any(u - h > EXP_ARG_LIMIT):
             return np.full_like(h, np.inf)
         return np.exp(u) * (np.expm1(-h) + h)
+    # (u - h)^p expanded from its h^2 term on; the lower terms cancel, and
+    # nothing is left for p = 1. Powers are running products, not libm pow.
     rest = np.zeros_like(h)
-    if form.kind == "polynomial":
-        # (u - h)^p expanded from its h^2 term on; the lower terms cancel.
-        # Powers are running products, not one libm pow per element.
-        p = form.p
-        u_powers = [np.ones_like(u)]
-        for _ in range(p - 2):
-            u_powers.append(u_powers[-1] * u)
-        neg_h = -h
-        neg_h_power = neg_h
-        for k in range(2, p + 1):
-            neg_h_power = neg_h_power * neg_h
-            rest += math.comb(p, k) * u_powers[p - k] * neg_h_power
+    u_powers = [np.ones_like(u)]
+    for _ in range(p - 2):
+        u_powers.append(u_powers[-1] * u)
+    neg_h = -h
+    neg_h_power = neg_h
+    for k in range(2, p + 1):
+        neg_h_power = neg_h_power * neg_h
+        rest += math.comb(p, k) * u_powers[p - k] * neg_h_power
     return rest
 
 
@@ -311,11 +301,12 @@ def regularized_energy(
     return EnergyEval(u=u, c=c, e=e, r=r, e_r=e + r, grad=grad)
 
 
-def linear_energy(z: np.ndarray, a: np.ndarray, v: np.ndarray) -> float:
-    """-<Z, AV> + 0.5 <Z, Z>; minimized exactly at Z = AV."""
+def linear_energy(z: np.ndarray, a: np.ndarray, v: np.ndarray):
+    """-<Z, AV> + 0.5 <Z, Z> of one state (a float) or of each of a stack; least at Z = AV."""
     _check_state(a, z, v)
     av = a @ v
-    return -float((z * av).sum()) + 0.5 * float((z * z).sum())
+    e = -(z * av).sum(axis=(-2, -1)) + 0.5 * (z * z).sum(axis=(-2, -1))
+    return e if e.ndim else float(e)
 
 
 def linear_grad(z: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:

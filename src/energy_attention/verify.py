@@ -3,9 +3,10 @@
 Three cross-checks, each deliberately computed along a different route
 than the code it verifies:
 
-* central finite differences of the scalar energy (on stacks of probe
-  states) against the analytic gradient,
-* a stationarity probe of grad E_R at Z = AV,
+* central finite differences of the energy the head descends (E_R, or
+  ``linear_energy`` for the linear form, whose E_R is identically 0), on
+  stacks of probe states, against the analytic gradient,
+* a stationarity probe of that gradient at Z = AV,
 * a brute-force evaluation of every index-sum formula with plain Python
   loops and ``math`` scalars (no matrix products at all).
 """
@@ -26,6 +27,8 @@ from .energy import (
     energy_sums,
     f_prime,
     frobenius_norm,
+    linear_energy,
+    linear_grad,
     reg_coeffs,
     regularized_energy,
 )
@@ -125,16 +128,17 @@ def gradcheck(
     h: float = 1e-6,
     tol: float = 1e-5,
 ) -> GradCheckReport:
-    """Analytic grad E_R versus finite differences of E_R at one state."""
+    """Analytic gradient versus finite differences of the energy the head descends, at one state."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    c = reg_coeffs(a, v)
-    analytic = regularized_energy(form, a, z, v, c=c).grad
-    fp_c = f_prime(form, c)  # E_R of each stacked state, summed as in regularized_energy
-    numeric = fd_gradient(
-        lambda zs: np.add(*energy_sums(form, alignment_scores(a, zs, v), fp_c)), z, h
-    )
-    return compare_gradients(analytic, numeric, h, tol)
+    if form.kind == "linear":
+        analytic, energies = linear_grad(z, a, v), lambda zs: linear_energy(zs, a, v)
+    else:
+        c = reg_coeffs(a, v)
+        analytic = regularized_energy(form, a, z, v, c=c).grad
+        fp_c = f_prime(form, c)  # E_R of each stacked state, summed as in regularized_energy
+        energies = lambda zs: np.add(*energy_sums(form, alignment_scores(a, zs, v), fp_c))
+    return compare_gradients(analytic, fd_gradient(energies, z, h), h, tol)
 
 
 def stationarity_check(
@@ -143,14 +147,17 @@ def stationarity_check(
     v: np.ndarray,
     tol: float = 1e-8,
 ) -> StationarityReport:
-    """Norm of grad E_R at Z = AV against tol * (1 + ||AV||_F).
+    """Norm of the head's gradient (grad E_R or ``linear_grad``) at AV against tol * (1 + ||AV||_F).
 
     ``tol=0`` asks for an exact zero, which AV can meet.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     av = a @ v
-    grad = regularized_energy(form, a, av, v, c=reg_coeffs(a, v)).grad
+    if form.kind == "linear":
+        grad = linear_grad(av, a, v)
+    else:
+        grad = regularized_energy(form, a, av, v, c=reg_coeffs(a, v)).grad
     grad_norm = frobenius_norm(grad)
     scale = 1.0 + frobenius_norm(av)
     return StationarityReport(

@@ -428,7 +428,16 @@ class TestGradcheckCommand:
         for trial in report["trials"]:
             assert set(trial) == {"seed", "max_abs_err", "max_rel_err", "worst_index", "pass"}
 
-    @pytest.mark.parametrize("form", [{"kind": "quadratic"}, {"kind": "polynomial", "p": 4}])
+    def test_zero_tolerance_fails_a_linear_config(self, tmp_path):
+        # the linear probes difference linear_energy, not its E_R, which is 0
+        cfg = write_config(tmp_path, form={"kind": "linear"})
+        out = tmp_path / "gc.json"
+        assert run_cli("gradcheck", "--config", str(cfg), "--out", str(out), "--tol", "0") == EXIT_CHECK_FAILED
+        assert all(t["max_abs_err"] > 0.0 for t in json.loads(out.read_text())["trials"])
+
+    @pytest.mark.parametrize(
+        "form", [{"kind": "linear"}, {"kind": "quadratic"}, {"kind": "polynomial", "p": 4}]
+    )
     def test_probe_past_the_float_range_writes_one_error_line(self, tmp_path, capsys, form):
         # overflow inside the probes is reported by the error line alone;
         # a numpy warning escaping them fails here as an exception
@@ -521,9 +530,10 @@ def test_exponential_overflow_names_the_first_overflowing_probe(tmp_path, capsys
 
 
 # sha256 of the gradcheck and stationarity reports at the verify-probes
-# shape, recorded when every probe state was evaluated by its own call
+# shape, recorded when every probe state was evaluated by its own call; the
+# linear gradcheck's was recorded once it differenced linear_energy (E_R is 0)
 PROBE_REPORT_GOLDEN = {
-    ("linear", "gradcheck"): "da17033202d8c95b5c5c1252caf596f1a2cc4b072d009d4652ad6c4496d1482e",
+    ("linear", "gradcheck"): "43ed1bd8b91469b54faefbfcd7131727dc407ec9015186946737b807ec0c1a83",
     ("linear", "stationarity"): "53da9e03480321669234ce673155cda39ecb0b60fdf89625d92989f040b49c90",
     ("quadratic", "gradcheck"): "53f1ccc65e66fde861ff46e78772e1a824ba4da7e795e5c8dee8507d79bdd914",
     ("quadratic", "stationarity"): "442b94191c7e299b170484bae9d908d8862a235c2262017db0e5dc38574afed1",

@@ -36,7 +36,7 @@ def hand_context():
 def test_form_remainder_matches_exact_rationals(form):
     # F(u - h) - F(u) + F'(u) h in exact arithmetic; the computed remainder
     # may err by a few ulp of each of its binomial terms
-    p = 2 if form.kind == "quadratic" else form.p
+    p = form.degree
     rng = np.random.default_rng(p)
     u = rng.standard_normal(64) * 10.0 ** rng.uniform(-2, 2, 64)
     h = u * 10.0 ** rng.uniform(-6, 0, 64) * rng.choice([-1.0, 1.0], 64)
@@ -178,6 +178,21 @@ class TestDescend:
         z2, t2 = descend(EXPONENTIAL, ctx, z0, cfg)
         assert t1 == t2
         np.testing.assert_array_equal(z1, z2)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DescentConfig(eta=0.5, max_iters=400, grad_tol=1e-10),
+            DescentConfig(eta=0.02, max_iters=30, clip_norm=0.01, backtracking=False),
+        ],
+    )
+    def test_quadratic_descends_as_degree_two_bit_for_bit(self, cfg):
+        ctx = small_context(n=48, d=16, d_k=8, d_v=8)
+        z0 = ctx.av + 0.1 * ea.GaussianStream(4).matrix(ctx.n, ctx.d_v)
+        (z, trace), (z2, trace2) = (descend(f, ctx, z0, cfg) for f in (QUADRATIC, polynomial(2)))
+        assert trace.iters > 0 and trace.stop_reason == trace2.stop_reason
+        for got, want in ((z, z2), (trace.energies, trace2.energies), (trace.grad_norms, trace2.grad_norms)):
+            np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
     @pytest.mark.parametrize("backtracking", [False, True])
     def test_exponential_overflow_flags_divergence(self, backtracking):

@@ -1,4 +1,5 @@
 import importlib
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +201,19 @@ class TestLinearFunctional:
         assert linear_energy(z, I2, v) == 0.0
         np.testing.assert_array_equal(linear_grad(z, I2, v), np.zeros((2, 1)))
 
+    def test_a_stack_of_states_gives_each_state_its_energy(self):
+        rng = np.random.default_rng(8)
+        a, v = random_attention(rng, 13), rng.normal(size=(13, 3))
+        av = a @ v
+        states = rng.normal(size=(4, 13, 3))
+        energies = linear_energy(states, a, v)
+        assert energies.shape == (4,)
+        for e, z in zip(energies, states):
+            one = linear_energy(z, a, v)
+            assert type(one) is float
+            assert_same_bits(one, -float((z * av).sum()) + 0.5 * float((z * z).sum()))
+            assert_same_bits(e, one)
+
 
 class TestRegularizer:
     def test_quadratic_hand_value(self):
@@ -276,17 +290,71 @@ class TestRegularizedEnergy:
         z = rng.normal(size=(5, 3))
         quad = regularized_energy(QUADRATIC, a, z, v)
         poly2 = regularized_energy(polynomial(2), a, z, v)
-        assert quad.e == pytest.approx(poly2.e, rel=1e-12)
-        assert quad.r == pytest.approx(poly2.r, rel=1e-12)
-        np.testing.assert_allclose(quad.grad, poly2.grad, atol=1e-12)
+        for field in ("e", "r", "e_r", "grad"):
+            assert_same_bits(getattr(quad, field), getattr(poly2, field))
 
     def test_degree_one_matches_linear_form_energy(self):
         rng = np.random.default_rng(5)
         a = random_attention(rng, 4)
         v = rng.normal(size=(4, 2))
         z = rng.normal(size=(4, 2))
-        degree_one = regularized_energy(polynomial(1), a, z, v).e
-        assert degree_one == pytest.approx(regularized_energy(LINEAR, a, z, v).e, rel=1e-14)
+        degree_one = regularized_energy(polynomial(1), a, z, v)
+        linear = regularized_energy(LINEAR, a, z, v)
+        for field in ("e", "r", "e_r", "grad"):
+            assert_same_bits(getattr(degree_one, field), getattr(linear, field))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def score_pairs(seed):
+    """Every pair (u, h) of signed mixed magnitudes, zeros of both signs, +-inf, nan
+    and values whose square or cube leaves the float range."""
+    edge = [np.inf, -np.inf, np.nan, 1.3e154, -1.35e154, 5e102, -6e102, 1e308, -1.7e308, 5e-324]
+    points = np.concatenate([mixed_magnitudes(seed, size=30), edge])
+    return np.repeat(points, points.size), np.tile(points, points.size)
+
+
+class TestDegreePath:
+    # linear and quadratic are evaluated as the powers of degree 1 and 2
+    def test_each_form_names_its_degree(self):
+        assert (LINEAR.degree, QUADRATIC.degree, EXPONENTIAL.degree) == (1, 2, None)
+        assert [polynomial(p).degree for p in (1, 2, 7)] == [1, 2, 7]
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_named_form_is_its_polynomial_bit_for_bit(self, p):
+        named, power = (LINEAR, QUADRATIC)[p - 1], polynomial(p)
+        u, h = score_pairs(p)
+        with np.errstate(all="ignore"):
+            for got, want in (
+                (f_apply(named, u), f_apply(power, u)),
+                (f_prime(named, u), f_prime(power, u)),
+                (form_remainder(named, u, h), form_remainder(power, u, h)),
+            ):
+                assert_same_bits(got, want)
+
+    def test_degree_path_keeps_the_per_form_formulas(self):
+        # u, 1 and 0 for the linear form; u u, 2 u and h h for the quadratic,
+        # where a nan step's remainder is a nan of either sign
+        u, h = score_pairs(3)
+        with np.errstate(all="ignore"):
+            assert_same_bits(f_apply(LINEAR, u), u)
+            assert_same_bits(f_prime(LINEAR, u), np.ones_like(u))
+            assert_same_bits(form_remainder(LINEAR, u, h), np.zeros_like(h))
+            assert_same_bits(f_apply(QUADRATIC, u), u * u)
+            assert_same_bits(f_prime(QUADRATIC, u), 2.0 * u)
+            rest, square = form_remainder(QUADRATIC, u, h), h * h
+        np.testing.assert_array_equal(np.isnan(rest), np.isnan(h))
+        assert_same_bits(rest[~np.isnan(h)], square[~np.isnan(h)])
+
+    def test_linear_form_keeps_the_sign_of_zero(self):
+        # F(u) = u is a copy of u, as for polynomial(1); -0.0 stays -0.0
+        assert math.copysign(1.0, f_apply(LINEAR, -0.0)) == -1.0
+        out = f_apply(LINEAR, np.array([-0.0, 0.0]))
+        np.testing.assert_array_equal(np.signbit(out), [True, False])
 
 
 @given(st.integers(0, 10_000))

@@ -13,6 +13,8 @@ from energy_attention.energy import (
     ExpOverflowError,
     frobenius_norm,
     grad_unregularized,
+    linear_energy,
+    linear_grad,
     polynomial,
     reg_coeffs,
     regularized_energy,
@@ -124,9 +126,12 @@ class TestStackedProbes:
             ctx = build_context(x, w)
             z = ea.GaussianStream(seed + 100).matrix(n, d_v)
             c = reg_coeffs(ctx.a, ctx.v)
-            expected = per_state_fd(
-                lambda m: regularized_energy(form, ctx.a, m, ctx.v, c=c).e_r, z, 1e-6
-            )
+            if form == LINEAR:  # the energy the linear head descends; its E_R is 0
+                expected = per_state_fd(lambda m: linear_energy(m, ctx.a, ctx.v), z, 1e-6)
+            else:
+                expected = per_state_fd(
+                    lambda m: regularized_energy(form, ctx.a, m, ctx.v, c=c).e_r, z, 1e-6
+                )
             gradcheck(form, ctx.a, ctx.v, z)
             np.testing.assert_array_equal(captured[-1].view(np.uint64), expected.view(np.uint64))
 
@@ -208,6 +213,15 @@ class TestGradcheck:
         i, k = report.worst_index
         assert 0 <= i < 4 and 0 <= k < 2
 
+    def test_sign_flipped_linear_gradient_is_detected(self, monkeypatch):
+        # the linear form's E_R is 0 at every state, so its probe differences linear_energy
+        rng = np.random.default_rng(3)
+        a = random_attention(rng, 4)
+        v, z = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        assert gradcheck(LINEAR, a, v, z).passed
+        monkeypatch.setattr(verify, "linear_grad", lambda *args: -linear_grad(*args))
+        assert not gradcheck(LINEAR, a, v, z).passed
+
     def test_step_size_window_is_consistent(self):
         rng = np.random.default_rng(4)
         a = random_attention(rng, 4)
@@ -232,6 +246,13 @@ class TestStationarityCheck:
         v = rng.normal(size=(5, 3))
         report = stationarity_check(form, a, v, tol=1e-8)
         assert report.passed
+
+    def test_linear_form_probes_the_linear_gradient(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a, v = random_attention(rng, 5), rng.normal(size=(5, 3))
+        assert stationarity_check(LINEAR, a, v, tol=0.0).grad_norm_at_av == 0.0
+        monkeypatch.setattr(verify, "linear_grad", lambda z, a, v: linear_grad(z, a, v) + 1e-3)
+        assert not stationarity_check(LINEAR, a, v).passed
 
     def test_unregularized_quadratic_fails_on_hand_case(self):
         grad_norm, passed = unregularized_probe(QUADRATIC, I2, V12)
