@@ -15,7 +15,7 @@ from .attention import (
     row_softmax,
     scaled_scores,
 )
-from .dynamics import DescentConfig, DescentTrace, descend, linear_descent
+from .dynamics import DescentConfig, DescentTrace, descend
 from .energy import (
     EXPONENTIAL,
     LINEAR,
@@ -28,7 +28,6 @@ from .energy import (
     f_apply,
     f_prime,
     frobenius_norm,
-    grad_unregularized,
     linear_energy,
     linear_grad,
     polynomial,

@@ -63,15 +63,14 @@ class ProjectionWeights:
 
 @dataclass(frozen=True)
 class AttentionContext:
-    """Per-head bundle (Q, K, V, A, AV), read-only after construction.
+    """Per-head bundle (d_k, V, A, AV), read-only after construction; Q and K are not kept.
 
     ``gram`` is the energy's Gram matrix B = L L^T (``energy.alignment_gram``),
     read-only. It is formed on first use and kept, so heads that share a
     context share it and heads that never step never form it.
     """
 
-    q: np.ndarray
-    k: np.ndarray
+    d_k: int
     v: np.ndarray
     a: np.ndarray
     av: np.ndarray
@@ -149,6 +148,6 @@ def build_context(x: np.ndarray, w: ProjectionWeights) -> AttentionContext:
     s = scaled_scores(q, k)
     a = _softmax_rows(s, s)
     av = attention_output(a, v)
-    for arr in (q, k, v, a, av):
+    for arr in (v, a, av):
         arr.setflags(write=False)
-    return AttentionContext(q=q, k=k, v=v, a=a, av=av)
+    return AttentionContext(d_k=w.d_k, v=v, a=a, av=av)

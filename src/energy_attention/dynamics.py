@@ -22,8 +22,9 @@ the configured eta is honored verbatim, and a run whose energy rises for 10
 consecutive iterations (or goes non-finite) is stopped and flagged as
 diverged.
 
-``linear_descent`` runs the same loop on the linear functional
--<Z, AV> + 0.5 <Z, Z>, whose scores are Z itself (L and B are the identity).
+A degree-1 form (F(u) = u), whose E_R is identically 0, runs the same loop
+on the linear functional -<Z, AV> + 0.5 <Z, Z> instead: its scores are Z
+itself (L and B are the identity), and it contracts to AV for 0 < eta < 2.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "DescentConfig",
     "DescentTrace",
     "descend",
-    "linear_descent",
 ]
 
 _DIVERGENCE_WINDOW = 10
@@ -76,8 +76,8 @@ class DescentConfig:
             or self.max_iters < 1
         ):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not self.grad_tol >= 0:
-            raise ValueError(f"grad_tol must be >= 0 and not NaN, got {self.grad_tol}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0):
+            raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
         if self.clip_norm is not None and not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive when set, got {self.clip_norm}")
 
@@ -209,13 +209,21 @@ def _descend_loop(z0, u, e, grad, scores, weights, gram, lift, remainder, config
 def descend(
     form: EnergyForm, ctx: AttentionContext, z0: np.ndarray, config: DescentConfig
 ):
-    """Run the regularized dynamics from z0; returns (z_final, trace).
+    """Run the head's dynamics from z0; returns (z_final, trace).
 
-    E_R(Z0) is evaluated once in full; every later energy is E_R(Z0) plus
-    the accepted changes. A start past the float range stops the run as
-    diverged without a warning; an exponential overflow still raises.
+    A degree-1 form descends the linear functional, any other form E_R.
+    The start's energy is evaluated once in full; every later energy is
+    it plus the accepted changes. A start past the float range stops the
+    run as diverged without a warning; an exponential overflow still raises.
     """
     a, v = ctx.a, ctx.v
+    if form.degree == 1:
+        return _descend_loop(
+            z0, z0, linear_energy(z0, a, v), z0 - ctx.av,
+            lambda z: z, lambda z: z - ctx.av, lambda w: w, lambda w: w,
+            lambda z, h: 0.5 * h * h,
+            config,
+        )
     c = reg_coeffs(a, v)
     fp_c = f_prime(form, c)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -227,15 +235,5 @@ def descend(
         lambda w: ctx.gram @ w,
         lambda w: alignment_adjoint(a, w, v),
         lambda u, h: form_remainder(form, u, h),
-        config,
-    )
-
-
-def linear_descent(ctx: AttentionContext, z0: np.ndarray, config: DescentConfig):
-    """Descent on the linear functional; contracts to AV for 0 < eta < 2."""
-    return _descend_loop(
-        z0, z0, linear_energy(z0, ctx.a, ctx.v), z0 - ctx.av,
-        lambda z: z, lambda z: z - ctx.av, lambda w: w, lambda w: w,
-        lambda z, h: 0.5 * h * h,
         config,
     )

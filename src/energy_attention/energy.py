@@ -18,7 +18,7 @@ O(n^2 d_v). The descent reads the rest from here too: the line-search
 remainder F(u - h) - F(u) + F'(u) h and the Gram matrix
 B = L L^T = (A^T A) o (V V^T), which the attention context caches.
 
-For F(u) = u, E_R is identically 0, so the linear head descends (and the
+For F(u) = u, E_R is identically 0, so a degree-1 head descends (and the
 probes check) ``linear_energy``/``linear_grad`` instead: the functional
 -<Z, AV> + 0.5 <Z, Z>, whose gradient Z - AV vanishes at AV unregularized.
 """
@@ -50,7 +50,6 @@ __all__ = [
     "alignment_gram",
     "reg_coeffs",
     "energy_sums",
-    "grad_unregularized",
     "regularized_energy",
     "linear_energy",
     "linear_grad",
@@ -269,14 +268,6 @@ def reg_coeffs(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def energy_sums(form: EnergyForm, u: np.ndarray, fp_c: np.ndarray):
     """(E, R) = (sum_j F(u_j), -sum_j F'(c_j) u_j), summed over the last axis of u."""
     return f_apply(form, u).sum(axis=-1), -(fp_c * u).sum(axis=-1)
-
-
-def grad_unregularized(
-    form: EnergyForm, a: np.ndarray, z: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """(grad E)_ik = sum_j F'(u_j) A_ij V_jk."""
-    u = alignment_scores(a, z, v)
-    return alignment_adjoint(a, f_prime(form, u), v)
 
 
 def regularized_energy(

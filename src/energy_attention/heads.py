@@ -1,12 +1,12 @@
-"""Attention heads: closed-form linear head and iterative non-linear heads.
+"""Attention heads: descent from Z0 = AV on the energy of the head's form.
 
 A head projects tokens, forms the attention context, and produces a state
-matrix Z. The linear head runs ``linear_descent`` from Z0 = AV, where its
-gradient is exactly zero, so it returns AV itself after zero iterations.
-Non-linear heads start the descent at Z0 = AV, which is already stationary
-for every form, so the unperturbed run converges at iteration 0; setting
+matrix Z. Every head starts the descent at Z0 = AV, which is stationary
+for every form, so the unperturbed run converges at iteration 0. Setting
 ``perturb_sigma`` > 0 adds seeded Gaussian noise to Z0 to make the
-dynamics observable.
+dynamics observable, except for a degree-1 head (F(u) = u, the linear
+form): it draws no noise and so returns AV itself after zero iterations,
+the standard attention output.
 
 ``run_head`` is the one entry point from tokens and weights: it builds the
 head's context and calls ``solve_head``, which does the work from a built
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionContext, ProjectionWeights, build_context
-from .dynamics import DescentConfig, DescentTrace, descend, linear_descent
+from .dynamics import DescentConfig, DescentTrace, descend
 from .energy import EnergyForm, ShapeError
 from .rng import GaussianStream
 
@@ -59,28 +59,24 @@ class HeadOutput:
 
 
 def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
-    """Head output from a built context, dispatching on the energy form.
+    """Head output from a built context: descend from Z0 = AV (+ seeded noise).
 
-    The linear form runs ``linear_descent`` from Z0 = AV and so returns
-    AV after zero iterations; every other form descends the regularized
-    energy from Z0 = AV (+ seeded noise). Heads that read the same tokens
-    through the same weights can share one context.
+    A degree-1 head draws no noise, so it returns AV after zero
+    iterations. Heads that read the same tokens through the same weights
+    can share one context.
     """
-    if ctx.q.shape[1] != spec.d_k or ctx.d_v != spec.d_v:
+    if ctx.d_k != spec.d_k or ctx.d_v != spec.d_v:
         raise ShapeError(
-            f"context (d_k={ctx.q.shape[1]}, d_v={ctx.d_v}) does not match head spec "
+            f"context (d_k={ctx.d_k}, d_v={ctx.d_v}) does not match head spec "
             f"(d_k={spec.d_k}, d_v={spec.d_v})"
         )
-    if spec.form.kind == "linear":
-        z, trace = linear_descent(ctx, ctx.av, spec.descent)
-    else:
-        z0 = ctx.av
-        if spec.perturb_sigma > 0.0:
-            noise = GaussianStream(spec.perturb_seed).matrix(ctx.n, spec.d_v)
-            # a start past the float range stops the descent as diverged
-            with np.errstate(over="ignore", invalid="ignore"):
-                z0 = ctx.av + spec.perturb_sigma * noise
-        z, trace = descend(spec.form, ctx, z0, spec.descent)
+    z0 = ctx.av
+    if spec.perturb_sigma > 0.0 and spec.form.degree != 1:
+        noise = GaussianStream(spec.perturb_seed).matrix(ctx.n, spec.d_v)
+        # a start past the float range stops the descent as diverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            z0 = ctx.av + spec.perturb_sigma * noise
+    z, trace = descend(spec.form, ctx, z0, spec.descent)
     return HeadOutput(z=z, trace=trace, context=ctx)
 
 

@@ -4,7 +4,7 @@ Three cross-checks, each deliberately computed along a different route
 than the code it verifies:
 
 * central finite differences of the energy the head descends (E_R, or
-  ``linear_energy`` for the linear form, whose E_R is identically 0), on
+  ``linear_energy`` for a degree-1 form, whose E_R is identically 0), on
   stacks of probe states, against the analytic gradient,
 * a stationarity probe of that gradient at Z = AV,
 * a brute-force evaluation of every index-sum formula with plain Python
@@ -131,7 +131,7 @@ def gradcheck(
     """Analytic gradient versus finite differences of the energy the head descends, at one state."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    if form.kind == "linear":
+    if form.degree == 1:
         analytic, energies = linear_grad(z, a, v), lambda zs: linear_energy(zs, a, v)
     else:
         c = reg_coeffs(a, v)
@@ -154,7 +154,7 @@ def stationarity_check(
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     av = a @ v
-    if form.kind == "linear":
+    if form.degree == 1:
         grad = linear_grad(av, a, v)
     else:
         grad = regularized_energy(form, a, av, v, c=reg_coeffs(a, v)).grad
@@ -166,23 +166,24 @@ def stationarity_check(
 
 
 def _scalar_form(form: EnergyForm):
-    if form.kind == "linear":
-        return (lambda t: t), (lambda t: 1.0)
-    if form.kind == "quadratic":
-        return (lambda t: t * t), (lambda t: 2.0 * t)
-    if form.kind == "polynomial":
-        p = form.p
-        return (lambda t: t**p), (lambda t: p * t ** (p - 1))
+    """(F, F') on floats, by one formula per kind; none goes through ``form.degree``."""
+    if form.kind == "exponential":
 
-    def checked_exp(t):
-        if t > EXP_ARG_LIMIT:
-            raise ExpOverflowError(
-                f"exponential energy argument {t:.6g} exceeds the overflow "
-                f"limit {EXP_ARG_LIMIT:g}"
-            )
-        return math.exp(t)
+        def checked_exp(t):
+            if t > EXP_ARG_LIMIT:
+                raise ExpOverflowError(
+                    f"exponential energy argument {t:.6g} exceeds the overflow "
+                    f"limit {EXP_ARG_LIMIT:g}"
+                )
+            return math.exp(t)
 
-    return checked_exp, checked_exp
+        return checked_exp, checked_exp
+    p = form.p
+    return {
+        "linear": ((lambda t: t), (lambda t: 1.0)),
+        "quadratic": ((lambda t: t * t), (lambda t: 2.0 * t)),
+        "polynomial": ((lambda t: t**p), (lambda t: p * t ** (p - 1))),
+    }[form.kind]
 
 
 def bruteforce_energy(

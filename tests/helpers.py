@@ -20,6 +20,11 @@ def gaussian_head_inputs(seed, n, d, d_k, d_v, scale=None):
     return x, w
 
 
+def unregularized_grad(form, a, z, v):
+    """grad E = L^T F'(u(Z)), the energy's gradient without the regularizer R."""
+    return ea.energy.alignment_adjoint(a, ea.f_prime(form, ea.alignment_scores(a, z, v)), v)
+
+
 def stacked(energy_fn):
     """``fd_gradient``'s stack form of a one-state energy: one call per state."""
     return lambda states: [energy_fn(z) for z in states]

@@ -15,7 +15,6 @@ from energy_attention.energy import (
     LINEAR,
     QUADRATIC,
     frobenius_norm,
-    grad_unregularized,
     linear_grad,
     polynomial,
     reg_coeffs,
@@ -23,7 +22,13 @@ from energy_attention.energy import (
 )
 from energy_attention.verify import bruteforce_energy, compare_gradients, fd_gradient, gradcheck, stationarity_check
 
-from helpers import gaussian_head_inputs, random_attention, stacked, wellconditioned_head_seeds
+from helpers import (
+    gaussian_head_inputs,
+    random_attention,
+    stacked,
+    unregularized_grad,
+    wellconditioned_head_seeds,
+)
 
 UNIFIED_FORMS = [LINEAR, QUADRATIC, polynomial(1), polynomial(2), polynomial(3), polynomial(4), EXPONENTIAL]
 
@@ -131,7 +136,7 @@ def test_criterion_04_u_equals_c_at_av():
 
 
 def test_criterion_05_linear_closed_form():
-    """Linear head is exact and linear descent contracts geometrically."""
+    """Linear head is exact and its descent contracts geometrically."""
     bitwise_ok = True
     for seed in range(20):
         x, w = gaussian_head_inputs(seed, 4, 8, 2, 2)
@@ -142,7 +147,7 @@ def test_criterion_05_linear_closed_form():
     x, w = gaussian_head_inputs(3, 4, 8, 2, 2)
     ctx = ea.build_context(x, w)
     z0 = np.zeros((4, 2))
-    z, trace = ea.linear_descent(ctx, z0, ea.DescentConfig(eta=1.0, max_iters=10, grad_tol=1e-12))
+    z, trace = ea.descend(LINEAR, ctx, z0, ea.DescentConfig(eta=1.0, max_iters=10, grad_tol=1e-12))
     one_step_ok = trace.iters == 1 and frobenius_norm(z - ctx.av) <= 1e-12
 
     contraction_ok = True
@@ -151,7 +156,7 @@ def test_criterion_05_linear_closed_form():
     # iterate's rounding floor, so the rate itself is what gets measured
     for eta in (0.3, 0.7):
         cfg = ea.DescentConfig(eta=eta, max_iters=10, grad_tol=0.0, backtracking=False)
-        _, tr = ea.linear_descent(ctx, z0, cfg)
+        _, tr = ea.descend(LINEAR, ctx, z0, cfg)
         base = tr.grad_norms[0]
         for t, grad_norm in enumerate(tr.grad_norms):
             expected = abs(1.0 - eta) ** t * base
@@ -204,14 +209,14 @@ def test_criterion_07_regularizer_necessity():
     smallest = np.inf
     for seed in range(20):
         _, a, v = _seeded_pair(50_000 + seed, 4, 2)
-        grad_norm = frobenius_norm(grad_unregularized(QUADRATIC, a, a @ v, v))
+        grad_norm = frobenius_norm(unregularized_grad(QUADRATIC, a, a @ v, v))
         passed = grad_norm <= 1e-8 * (1.0 + frobenius_norm(a @ v))
         generic_ok &= not passed and grad_norm > 1e-3
         smallest = min(smallest, grad_norm)
 
     a = np.eye(2)
     v = np.array([[1.0], [2.0]])
-    grad = grad_unregularized(QUADRATIC, a, a @ v, v)
+    grad = unregularized_grad(QUADRATIC, a, a @ v, v)
     hand_ok = np.abs(grad - np.array([[2.0], [16.0]])).max() <= 1e-10
     _report(
         7,

@@ -155,7 +155,8 @@ class TestBuildContext:
         # in a fresh one, leaving its input as it was
         x, w = gaussian_head_inputs(n, n, 16, 4, 3)
         ctx = build_context(x, w)
-        s = scaled_scores(ctx.q, ctx.k)
+        q, k, _ = project(x, w)
+        s = scaled_scores(q, k)
         s_before = s.copy()
         assert np.array_equal(ctx.a, row_softmax(s))
         assert np.array_equal(s, s_before)
@@ -253,7 +254,9 @@ def test_output_rows_stay_in_value_hull(seed):
 
 
 def test_context_dataclass_accessors():
-    x, w = gaussian_head_inputs(9, 3, 8, 2, 2)
+    x, w = gaussian_head_inputs(9, 3, 8, 5, 2)
     ctx = build_context(x, w)
     assert isinstance(ctx, AttentionContext)
-    assert ctx.n == 3 and ctx.d_v == 2
+    assert ctx.n == 3 and ctx.d_k == 5 and ctx.d_v == 2
+    # the head reads Q and K only through A
+    assert not hasattr(ctx, "q") and not hasattr(ctx, "k")

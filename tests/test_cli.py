@@ -170,6 +170,17 @@ class TestRun:
         assert head["iters"] == 0 and head["converged"]
         assert head["energy_initial"] == head["energy_final"]
 
+    def test_polynomial_one_reports_the_linear_head(self, tmp_path):
+        # the same F(u) = u: every head field but the form's name matches
+        heads = []
+        for form in ({"kind": "linear"}, {"kind": "polynomial", "p": 1}):
+            cfg = write_config(tmp_path, form=form, n=6, perturb_sigma=0.5, heads=2)
+            code, report = self.gen_and_run(tmp_path, cfg, "--emit-z")
+            assert code == EXIT_OK
+            heads.append([{k: v for k, v in head.items() if k != "form"} for head in report["heads"]])
+        assert json.dumps(heads[1]) == json.dumps(heads[0])
+        assert all(head["iters"] == 0 and head["energy_final"] < 0.0 for head in heads[1])
+
     def test_stationary_start_converges_at_iteration_zero(self, tmp_path):
         cfg = write_config(tmp_path, perturb_sigma=0.0)
         code, report = self.gen_and_run(tmp_path, cfg)
@@ -323,6 +334,9 @@ class TestRun:
             {"perturb_sigma": float("nan"), "grad_tol": float("nan")},
             {"perturb_sigma": float("inf")},
             {"eta": float("inf")},
+            # would stop every head as converged at iteration 0, then echo
+            # back as a null that the config parser rejects
+            {"perturb_sigma": 0.5, "grad_tol": float("inf")},
         ],
     )
     def test_non_finite_config_values_exit_2(self, tmp_path, capsys, overrides):
@@ -334,7 +348,8 @@ class TestRun:
         report = tmp_path / "r.json"
         code = run_cli("run", "--config", str(cfg), "--in", str(data), "--out", str(report))
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not report.exists()
 
     @pytest.mark.parametrize(
@@ -429,11 +444,12 @@ class TestGradcheckCommand:
             assert set(trial) == {"seed", "max_abs_err", "max_rel_err", "worst_index", "pass"}
 
     def test_zero_tolerance_fails_a_linear_config(self, tmp_path):
-        # the linear probes difference linear_energy, not its E_R, which is 0
-        cfg = write_config(tmp_path, form={"kind": "linear"})
-        out = tmp_path / "gc.json"
-        assert run_cli("gradcheck", "--config", str(cfg), "--out", str(out), "--tol", "0") == EXIT_CHECK_FAILED
-        assert all(t["max_abs_err"] > 0.0 for t in json.loads(out.read_text())["trials"])
+        # degree-1 probes difference linear_energy, not its E_R, which is 0
+        for form in ({"kind": "linear"}, {"kind": "polynomial", "p": 1}):
+            cfg = write_config(tmp_path, form=form)
+            out = tmp_path / "gc.json"
+            assert run_cli("gradcheck", "--config", str(cfg), "--out", str(out), "--tol", "0") == EXIT_CHECK_FAILED
+            assert all(t["max_abs_err"] > 0.0 for t in json.loads(out.read_text())["trials"])
 
     @pytest.mark.parametrize(
         "form", [{"kind": "linear"}, {"kind": "quadratic"}, {"kind": "polynomial", "p": 4}]
@@ -582,7 +598,8 @@ class TestTraceCommand:
 
 
 class TestSweepCommand:
-    def test_degree_sweep_reports_degenerate_degree_one(self, tmp_path):
+    def test_degree_sweep_runs_degree_one_as_the_linear_head(self, tmp_path):
+        # p = 1 is F(u) = u: an unperturbed head at AV, stationary at once
         cfg = write_config(tmp_path, form={"kind": "polynomial", "p": 2}, perturb_sigma=0.1)
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--config", str(cfg), "--param", "p", "--values", "1,2,3", "--out", str(out)) == EXIT_OK

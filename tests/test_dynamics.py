@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import energy_attention as ea
-from energy_attention.dynamics import DescentConfig, DescentTrace, descend, linear_descent
+from energy_attention.dynamics import DescentConfig, DescentTrace, descend
 from energy_attention.energy import (
     EXPONENTIAL,
     QUADRATIC,
@@ -29,7 +29,7 @@ def hand_context():
     """Identity attention over two tokens with value column (1, 2)."""
     v = np.array([[1.0], [2.0]])
     a = np.eye(2)
-    return ea.AttentionContext(q=a, k=a, v=v, a=a, av=a @ v)
+    return ea.AttentionContext(d_k=2, v=v, a=a, av=a @ v)
 
 
 @pytest.mark.parametrize("form", [QUADRATIC] + [polynomial(p) for p in range(1, 9)])
@@ -65,6 +65,8 @@ class TestDescentConfig:
             {"eta": float("inf")},
             {"eta": float("nan")},
             {"grad_tol": float("nan")},
+            # would stop every run as converged at iteration 0
+            {"grad_tol": float("inf")},
             {"max_iters": 2.5},
             {"max_iters": True},
         ],
@@ -286,15 +288,25 @@ class TestDescend:
 
 
 class TestLinearDescent:
+    @pytest.mark.parametrize("backtracking", [True, False])
+    def test_polynomial_one_descends_the_linear_functional(self, backtracking):
+        ctx = small_context()
+        z0 = ctx.av + 0.5 * ea.GaussianStream(3).matrix(ctx.n, ctx.d_v)
+        cfg = DescentConfig(eta=0.3, max_iters=20, grad_tol=1e-9, backtracking=backtracking)
+        z, trace = descend(polynomial(1), ctx, z0, cfg)
+        z_lin, trace_lin = descend(ea.LINEAR, ctx, z0, cfg)
+        assert z.tobytes() == z_lin.tobytes() and repr(trace) == repr(trace_lin)
+        assert trace.iters > 0 and trace.energies[-1] < trace.energies[0]
+
     def test_start_at_attention_output(self):
         ctx = small_context()
-        z, trace = linear_descent(ctx, np.array(ctx.av), DescentConfig())
+        z, trace = descend(ea.LINEAR, ctx, np.array(ctx.av), DescentConfig())
         assert trace.converged and trace.iters == 0
 
     def test_unit_step_is_exact(self):
         ctx = small_context()
         z0 = np.zeros((ctx.n, ctx.d_v))
-        z, trace = linear_descent(ctx, z0, DescentConfig(eta=1.0, max_iters=10, grad_tol=1e-12))
+        z, trace = descend(ea.LINEAR, ctx, z0, DescentConfig(eta=1.0, max_iters=10, grad_tol=1e-12))
         assert trace.iters == 1
         np.testing.assert_array_equal(z, ctx.av)
 
@@ -304,7 +316,7 @@ class TestLinearDescent:
         ctx = small_context()
         z0 = np.zeros((ctx.n, ctx.d_v))
         cfg = DescentConfig(eta=eta, max_iters=10, grad_tol=0.0, backtracking=False)
-        _, trace = linear_descent(ctx, z0, cfg)
+        _, trace = descend(ea.LINEAR, ctx, z0, cfg)
         base = trace.grad_norms[0]
         for t, grad_norm in enumerate(trace.grad_norms):
             expected = abs(1.0 - eta) ** t * base

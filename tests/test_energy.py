@@ -21,7 +21,6 @@ from energy_attention.energy import (
     f_prime,
     form_remainder,
     frobenius_norm,
-    grad_unregularized,
     linear_energy,
     linear_grad,
     polynomial,
@@ -29,7 +28,7 @@ from energy_attention.energy import (
     regularized_energy,
 )
 
-from helpers import random_attention
+from helpers import random_attention, unregularized_grad
 
 I2 = np.eye(2)
 V12 = np.array([[1.0], [2.0]])
@@ -254,7 +253,7 @@ class TestGradients:
             np.testing.assert_array_equal(grad, np.zeros((4, 2)))
 
     def test_unregularized_quadratic_at_av(self):
-        grad = grad_unregularized(QUADRATIC, I2, AV12, V12)
+        grad = unregularized_grad(QUADRATIC, I2, AV12, V12)
         np.testing.assert_allclose(grad, [[2.0], [16.0]])
 
 

@@ -49,6 +49,22 @@ class TestLinearHead:
         assert out.z is ctx.av
 
 
+class TestDegreeOneHead:
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_polynomial_one_is_the_linear_head_bit_for_bit(self, sigma):
+        # F(u) = u either way: no noise is drawn and Z = AV after 0 steps
+        x, w = gaussian_head_inputs(7, 6, 8, 2, 2)
+        linear, degree_one = (
+            run_head(x, w, HeadSpec(d=8, d_k=2, d_v=2, form=form, perturb_sigma=sigma, perturb_seed=7))
+            for form in (LINEAR, polynomial(1))
+        )
+        assert degree_one.z.tobytes() == linear.z.tobytes()
+        assert degree_one.z is degree_one.context.av
+        # repr tells -0.0 from 0.0 and keeps every digit
+        assert repr(degree_one.trace) == repr(linear.trace)
+        assert degree_one.trace.stop_reason == "converged" and degree_one.trace.energies[0] < 0.0
+
+
 class TestNonlinearHead:
     def test_unperturbed_start_is_stationary(self):
         x, w = gaussian_head_inputs(4, 4, 8, 2, 2)

@@ -12,7 +12,6 @@ from energy_attention.energy import (
     QUADRATIC,
     ExpOverflowError,
     frobenius_norm,
-    grad_unregularized,
     linear_energy,
     linear_grad,
     polynomial,
@@ -28,7 +27,7 @@ from energy_attention.verify import (
     stationarity_check,
 )
 
-from helpers import gaussian_head_inputs, random_attention, stacked
+from helpers import gaussian_head_inputs, random_attention, stacked, unregularized_grad
 
 I2 = np.eye(2)
 V12 = np.array([[1.0], [2.0]])
@@ -126,7 +125,7 @@ class TestStackedProbes:
             ctx = build_context(x, w)
             z = ea.GaussianStream(seed + 100).matrix(n, d_v)
             c = reg_coeffs(ctx.a, ctx.v)
-            if form == LINEAR:  # the energy the linear head descends; its E_R is 0
+            if form.degree == 1:  # the energy a degree-1 head descends; its E_R is 0
                 expected = per_state_fd(lambda m: linear_energy(m, ctx.a, ctx.v), z, 1e-6)
             else:
                 expected = per_state_fd(
@@ -183,13 +182,26 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
 
 
 class TestGradcheck:
-    def test_degree_one_form_passes_trivially(self):
+    def test_degree_one_form_probes_the_linear_functional(self):
+        # E_R of F(u) = u is 0 at every state, so a probe of it could not fail
         rng = np.random.default_rng(1)
         a = random_attention(rng, 3)
         v = rng.normal(size=(3, 2))
         z = rng.normal(size=(3, 2))
         report = gradcheck(polynomial(1), a, v, z)
-        assert report.passed and report.max_abs_err == 0.0
+        assert report.passed and report.max_abs_err > 0.0
+        assert not gradcheck(polynomial(1), a, v, z, tol=0.0).passed
+
+    def test_degree_one_form_equals_the_linear_form(self):
+        x, w = gaussian_head_inputs(7, 6, 8, 2, 2)
+        ctx = build_context(x, w)
+        for seed in range(3):
+            z = ctx.av + 0.5 * ea.GaussianStream(seed).matrix(6, 2)
+            for tol in (1e-5, 0.0):
+                assert gradcheck(polynomial(1), ctx.a, ctx.v, z, tol=tol) == gradcheck(
+                    LINEAR, ctx.a, ctx.v, z, tol=tol
+                )
+        assert stationarity_check(polynomial(1), ctx.a, ctx.v) == stationarity_check(LINEAR, ctx.a, ctx.v)
 
     @pytest.mark.parametrize("form", ALL_FORMS)
     def test_random_instances_pass(self, form):
@@ -234,7 +246,7 @@ class TestGradcheck:
 
 def unregularized_probe(form, a, v, tol=1e-8):
     """(norm of the raw energy gradient at AV, whether it is <= tol * (1 + ||AV||_F))."""
-    grad_norm = frobenius_norm(grad_unregularized(form, a, a @ v, v))
+    grad_norm = frobenius_norm(unregularized_grad(form, a, a @ v, v))
     return grad_norm, grad_norm <= tol * (1.0 + frobenius_norm(a @ v))
 
 
