@@ -4,13 +4,16 @@ count n and fit its growth exponent.
 
 Each size is timed as best-of-k wall time of ``run_head`` at two iteration
 budgets; their difference divided by the extra iterations is the cost of
-one iteration. Problem generation, the perturbation noise, the attention
-context and the n x n Gram matrix B = (A^T A) o (V V^T), which every run
-forms once (B in O(n^3) on its first step), drop out. One iteration is
-one product B w in O(n^2) plus a fixed ~0.05 ms of Python and O(n) work,
-so the fit approaches 2 only where the product dominates, from n ~ 1024;
-over the default sizes it read 1.46 on a 2-vCPU VM (1.67 over
-512,1024,2048 with --iters 5,105).
+one iteration. Problem generation, the perturbation noise and the attention
+context drop out. A head forms the n x n Gram matrix B = (A^T A) o (V V^T),
+O(n^3), only when its budget repays it (max_iters (4 d_v - 2) >= n), so
+both budgets must sit on one side of that threshold at every size, or B
+would be counted as iterations; the script checks this on each run. The
+default budgets are above it at every default size: B is formed once per
+run and drops out, and one iteration is one product B w in O(n^2) plus a
+fixed ~0.05 ms of Python and O(n) work, so the fit approaches 2 only where
+the product dominates, from n ~ 1024; over the default sizes it read 1.65
+on a 2-vCPU VM.
 
 Example:
     python scripts/cost_scaling.py --sizes 256,512,1024,2048 --repeats 5
@@ -26,21 +29,22 @@ from energy_attention.cli import RunConfig, generate_inputs
 
 
 def best_time(x, weights, spec, repeats):
-    ea.run_head(x, weights, spec)  # warmup
+    """(best wall time, whether the head formed B)."""
+    out = ea.run_head(x, weights, spec)  # warmup
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
         ea.run_head(x, weights, spec)
         best = min(best, time.perf_counter() - start)
-    return best
+    return best, "gram" in vars(out.context)
 
 
 def per_iteration_cost(n, d, d_k, d_v, iters, repeats):
     x, weights = generate_inputs(RunConfig(n=n, d=d, d_k=d_k, d_v=d_v, form=ea.QUADRATIC, seed=n))
-    times = []
+    times, formed = [], set()
     for max_iters in iters:
         # a tiny fixed step with no tolerance stop runs exactly max_iters
-        # iterations of one product with B each
+        # iterations of one product B w each
         spec = ea.HeadSpec(
             d=d, d_k=d_k, d_v=d_v, form=ea.QUADRATIC,
             descent=ea.DescentConfig(
@@ -48,15 +52,17 @@ def per_iteration_cost(n, d, d_k, d_v, iters, repeats):
             ),
             perturb_sigma=0.1, perturb_seed=n,
         )
-        times.append(best_time(x, weights, spec, repeats))
-    return (times[1] - times[0]) / (iters[1] - iters[0])
+        best, gram = best_time(x, weights, spec, repeats)
+        times.append(best)
+        formed.add(gram)
+    return (times[1] - times[0]) / (iters[1] - iters[0]), len(formed) == 1
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="256,512,1024,2048")
     parser.add_argument("--d-v", type=int, default=4)
-    parser.add_argument("--iters", default="5,25", help="the two iteration budgets")
+    parser.add_argument("--iters", default="150,250", help="the two iteration budgets")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
@@ -67,7 +73,12 @@ def main():
     costs = []
     print(f"{'n':>6s} {'per-iteration cost':>20s}")
     for n in sizes:
-        cost = per_iteration_cost(n, 8, 4, args.d_v, iters, args.repeats)
+        cost, one_side = per_iteration_cost(n, 8, 4, args.d_v, iters, args.repeats)
+        if not one_side:
+            parser.error(
+                f"at n={n} one budget forms B and the other does not; pick budgets "
+                f"both >= or both < n / (4 d_v - 2) = {n / (4 * args.d_v - 2):.1f}"
+            )
         costs.append(cost)
         print(f"{n:6d} {cost * 1e3:17.3f} ms")
     if min(costs) <= 0:

@@ -66,8 +66,9 @@ class AttentionContext:
     """Per-head bundle (d_k, V, A, AV), read-only after construction; Q and K are not kept.
 
     ``gram`` is the energy's Gram matrix B = L L^T (``energy.alignment_gram``),
-    read-only. It is formed on first use and kept, so heads that share a
-    context share it and heads that never step never form it.
+    read-only, n^2 * 8 bytes. It is formed on first use and kept, so heads
+    that share a context share it; a head uses it only when its step budget
+    repays forming it (``dynamics.descend``).
     """
 
     d_k: int

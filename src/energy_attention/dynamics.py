@@ -3,16 +3,19 @@
 The update is Z <- Z - eta * grad E_R(Z), with optional gradient clipping.
 E_R depends on Z only through the alignment scores u = L(Z), and its
 gradient is L^T w with the score weights w = F'(u) - F'(c). A step of size
-a with clip factor s moves the scores to u - a s B w, B = L L^T the
-context's cached Gram matrix, so an accepted step costs one product B w,
-which also gives the next gradient norm sqrt(w^T B w). Z is formed once,
-as Z0 - L^T(sum_t a_t s_t w_t), and a stop is decided at that formed Z on
-its explicit gradient norm; if that norm is above grad_tol the run steps
-on. A line-search trial at step size a costs O(n): with h = a s B w its
-energy change is dE = sum(form_remainder(u, h)) - w . h, which carries
-rounding error proportional to the step, not to |E_R|; a trial is
-accepted on dE <= 0. The recorded energies are the exact E_R(Z0) plus the
-accepted changes, so with backtracking they never increase.
+a with clip factor s moves the scores to u - a s B w, B = L L^T, so an
+accepted step costs one product B w, which also gives the next gradient
+norm sqrt(w^T B w). B w is a product with the context's cached Gram matrix
+when the step budget repays forming it, max_iters (4 d_v - 2) >= n, and
+L(L^T w), two products with A, below that; the two agree to rounding.
+Z is formed once, as Z0 - L^T(sum_t a_t s_t w_t), and a stop is decided
+at that formed Z on its explicit gradient norm; if that norm is above
+grad_tol the run steps on. A line-search trial at step size a costs O(n):
+with h = a s B w its energy change is dE = sum(form_remainder(u, h)) -
+w . h, which carries rounding error proportional to the step, not to
+|E_R|; a trial is accepted on dE <= 0. The recorded energies are the
+exact E_R(Z0) plus the accepted changes, so with backtracking they never
+increase.
 
 By default the step size backtracks: a working eta starts at the configured
 value, is halved whenever a trial would raise E_R, doubled after a strictly
@@ -228,11 +231,16 @@ def descend(
     fp_c = f_prime(form, c)
     with np.errstate(over="ignore", invalid="ignore"):
         start = regularized_energy(form, a, z0, v, c=c)
+    # B costs n^3/2 multiply-adds once and saves (2 d_v - 1) n^2 on each
+    # product B w against L(L^T w). The budget alone decides, so a head's
+    # bits never depend on whether a neighbour already formed a shared B.
+    buys_gram = config.max_iters * (4 * ctx.d_v - 2) >= ctx.n
     return _descend_loop(
         z0, start.u, start.e_r, start.grad,
         lambda z: alignment_scores(a, z, v),
         lambda u: f_prime(form, u) - fp_c,
-        lambda w: ctx.gram @ w,
+        (lambda w: ctx.gram @ w) if buys_gram
+        else lambda w: alignment_scores(a, alignment_adjoint(a, w, v), v),
         lambda w: alignment_adjoint(a, w, v),
         lambda u, h: form_remainder(form, u, h),
         config,

@@ -30,8 +30,8 @@ def _as_matrix(data, name: str = "matrix") -> np.ndarray:
 
 
 def dumps_matrix(name: str, m: np.ndarray) -> str:
-    # Python floats format faster than numpy scalars, with the same digits
-    values = ", ".join(map("{:.17g}".format, m.ravel(order="C").tolist()))
+    # one %-format over the whole tuple builds no str per entry
+    values = ("%.17g, " * m.size)[:-2] % tuple(m.ravel(order="C").tolist())
     return (
         f'{{"name": {json.dumps(name)}, "rows": {m.shape[0]}, '
         f'"cols": {m.shape[1]}, "data": [{values}]}}\n'

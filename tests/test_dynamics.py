@@ -287,6 +287,36 @@ class TestDescend:
             assert np.all(np.diff(trace.energies) <= 1e-12)
 
 
+class TestGramBudgetRule:
+    """B is formed iff max_iters (4 d_v - 2) >= n; else B w is L(L^T w)."""
+
+    @staticmethod
+    def start():
+        # n = 64, d_v = 1: the threshold is 64 / 2 = 32 steps
+        ctx = small_context(n=64, d_v=1)
+        return ctx, ctx.av + 0.1 * ea.GaussianStream(2).matrix(ctx.n, ctx.d_v)
+
+    @pytest.mark.parametrize("max_iters, forms_gram", [(32, True), (31, False)])
+    def test_threshold_decides_whether_b_is_formed(self, max_iters, forms_gram):
+        ctx, z0 = self.start()
+        _, trace = descend(QUADRATIC, ctx, z0, DescentConfig(eta=0.5, max_iters=max_iters))
+        assert trace.iters > 0
+        assert ("gram" in vars(ctx)) == forms_gram
+
+    @pytest.mark.parametrize(
+        "form", [QUADRATIC, polynomial(4), EXPONENTIAL], ids=lambda f: f.label
+    )
+    def test_below_threshold_trace_matches_the_gram_path(self, form):
+        ctx, z0 = self.start()
+        cfg = DescentConfig(eta=0.5, max_iters=5, grad_tol=0.0)
+        _, short = descend(form, ctx, z0, cfg)
+        assert "gram" not in vars(ctx) and short.iters == 5
+        _, long = descend(form, ctx, z0, replace(cfg, max_iters=40))
+        assert "gram" in vars(ctx)
+        assert np.allclose(short.energies, long.energies[:6], rtol=1e-12, atol=0.0)
+        assert np.allclose(short.grad_norms, long.grad_norms[:6], rtol=1e-12, atol=0.0)
+
+
 class TestLinearDescent:
     @pytest.mark.parametrize("backtracking", [True, False])
     def test_polynomial_one_descends_the_linear_functional(self, backtracking):

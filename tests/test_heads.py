@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,24 @@ class TestSolveHead:
             assert shared.context is ctx
             assert np.array_equal(shared.z, alone.z)
             assert shared.trace == alone.trace
+
+    def test_small_budget_head_ignores_a_gram_matrix_formed_before(self):
+        # below the budget threshold a head never uses B, even one that a
+        # neighbour on the same context already formed
+        x, w = gaussian_head_inputs(8, 64, 8, 2, 1)
+        ctx = ea.build_context(x, w)
+        big = HeadSpec(
+            d=8, d_k=2, d_v=1, form=QUADRATIC,
+            descent=ea.DescentConfig(eta=0.5, max_iters=40),
+            perturb_sigma=0.1, perturb_seed=1,
+        )
+        solve_head(ctx, big)
+        assert "gram" in vars(ctx)
+        small = replace(big, descent=replace(big.descent, max_iters=5), perturb_seed=2)
+        shared, alone = solve_head(ctx, small), run_head(x, w, small)
+        assert "gram" not in vars(alone.context) and shared.trace.iters > 0
+        assert shared.z.tobytes() == alone.z.tobytes()
+        assert repr(shared.trace) == repr(alone.trace)
 
     def test_context_must_match_spec(self):
         x, w = gaussian_head_inputs(8, 5, 8, 2, 3)

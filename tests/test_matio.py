@@ -43,6 +43,32 @@ def test_negative_zero_round_trips(tmp_path):
     assert back.dtype == np.float64
 
 
+EDGE_VALUES = [
+    -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1.0, 0.1, 1e16, -123456.789,
+]
+
+
+@pytest.mark.parametrize(
+    "m",
+    [np.array([EDGE_VALUES]), np.array(EDGE_VALUES).reshape(4, 2)]
+    + [np.array([[x]]) for x in EDGE_VALUES],
+    ids=lambda m: "x".join(map(str, m.shape)) + ("" if m.size > 1 else f"-{float(m[0, 0])!r}"),
+)
+def test_dumps_matches_per_entry_format_and_round_trips(tmp_path, m):
+    # the one %-format over the matrix writes the bytes of a per-entry join
+    values = ", ".join(format(x, ".17g") for x in m.ravel().tolist())
+    expected = (
+        f'{{"name": "M", "rows": {m.shape[0]}, "cols": {m.shape[1]}, "data": [{values}]}}\n'
+    )
+    assert dumps_matrix("M", m) == expected
+    path = tmp_path / "m.json"
+    save_matrix(path, "M", m)
+    _, back = load_matrix(path)
+    assert back.dtype == np.float64
+    assert back.tobytes() == m.tobytes()
+
+
 def test_serialization_is_deterministic():
     m = np.array([[0.1, 1.0 / 3.0], [-2.5e-300, 7.0]])
     assert dumps_matrix("M", m) == dumps_matrix("M", m)
