@@ -16,7 +16,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--form", default="quadratic",
                         choices=["linear", "quadratic", "polynomial", "exponential"])
-    parser.add_argument("--p", type=int, default=3, help="degree when --form polynomial")
+    parser.add_argument("--p", type=int, default=4,
+                        help="degree when --form polynomial; odd p >= 3 has no lower bound, "
+                             "so such a head may run away from AV")
     parser.add_argument("--n", type=int, default=4)
     parser.add_argument("--d", type=int, default=8)
     parser.add_argument("--d-k", type=int, default=4)

@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -422,6 +423,8 @@ _COMMANDS = {
 }
 
 
+# parse_args leaves the parser as it was, so one build serves every main()
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="energy-attention",

@@ -25,8 +25,8 @@ the configured eta is honored verbatim, and a run whose energy rises for 10
 consecutive iterations (or goes non-finite) is stopped and flagged as
 diverged.
 
-A degree-1 form (F(u) = u), whose E_R is identically 0, runs the same loop
-on the linear functional -<Z, AV> + 0.5 <Z, Z> instead: its scores are Z
+A degree-1 form (F(u) = u), whose E_R is identically 0, binds the same maps
+to the linear functional -<Z, AV> + 0.5 <Z, Z> instead: its scores are Z
 itself (L and B are the identity), and it contracts to AV for 0 < eta < 2.
 """
 
@@ -132,16 +132,44 @@ def _line_search(remainder, u, delta, slope, eta, config):
     return eta, None
 
 
-def _descend_loop(z0, u, e, grad, scores, weights, gram, lift, remainder, config):
-    """Shared loop for the regularized and linear dynamics; returns (Z, trace).
+def descend(
+    form: EnergyForm, ctx: AttentionContext, z0: np.ndarray, config: DescentConfig
+):
+    """Run the head's dynamics from z0; returns (z_final, trace).
 
-    The iterate is held as its scores u = scores(Z), energy e and score
-    weights w = weights(u), with gradient lift(w) (``grad`` at Z0);
-    ``gram(w)`` is B w and ``remainder(u, h)`` the per-score energy change
-    beyond first order when the scores move by -h. Overflow after the start
-    marks the trace diverged.
+    Each functional binds the same maps, which one loop reads: the iterate's
+    scores u = scores(Z) and weights w = weights(u), its gradient lift(w),
+    gram(w) = B w, and remainder(u, h), the per-score energy change beyond
+    first order when the scores move by -h. The start's (u, e, grad) is
+    evaluated once in full; every later energy is e plus the accepted
+    changes. A start past the float range, or overflow after it, stops the
+    run as diverged without a warning; an exponential start past
+    EXP_ARG_LIMIT raises ExpOverflowError.
     """
-    # a start past the float range stops the run as diverged, unwarned
+    a, v = ctx.a, ctx.v
+    if form.degree == 1:
+        u, e, grad = z0, linear_energy(z0, a, v), z0 - ctx.av
+        scores = lift = gram = lambda x: x
+        weights = lambda u: u - ctx.av
+        remainder = lambda u, h: 0.5 * h * h
+    else:
+        c = reg_coeffs(a, v)
+        fp_c = f_prime(form, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = regularized_energy(form, a, z0, v, c=c)
+        u, e, grad = start.u, start.e_r, start.grad
+        scores = lambda z: alignment_scores(a, z, v)
+        weights = lambda u: f_prime(form, u) - fp_c
+        lift = lambda w: alignment_adjoint(a, w, v)
+        remainder = lambda u, h: form_remainder(form, u, h)
+        # B costs n^3/2 multiply-adds once and saves (2 d_v - 1) n^2 on each
+        # product B w against L(L^T w). The budget alone decides, so a head's
+        # bits never depend on whether a neighbour already formed a shared B.
+        if config.max_iters * (4 * ctx.d_v - 2) >= ctx.n:
+            gram = lambda w: ctx.gram @ w
+        else:
+            gram = lambda w: scores(lift(w))
+
     with np.errstate(over="ignore", invalid="ignore"):
         w = weights(u)
         grad_norm = frobenius_norm(grad)
@@ -207,41 +235,3 @@ def _descend_loop(z0, u, e, grad, scores, weights, gram, lift, remainder, config
     if z is None:
         z, _, _, grad_norms[-1] = formed()
     return z, DescentTrace(tuple(energies), tuple(grad_norms), stop)
-
-
-def descend(
-    form: EnergyForm, ctx: AttentionContext, z0: np.ndarray, config: DescentConfig
-):
-    """Run the head's dynamics from z0; returns (z_final, trace).
-
-    A degree-1 form descends the linear functional, any other form E_R.
-    The start's energy is evaluated once in full; every later energy is
-    it plus the accepted changes. A start past the float range stops the
-    run as diverged without a warning; an exponential overflow still raises.
-    """
-    a, v = ctx.a, ctx.v
-    if form.degree == 1:
-        return _descend_loop(
-            z0, z0, linear_energy(z0, a, v), z0 - ctx.av,
-            lambda z: z, lambda z: z - ctx.av, lambda w: w, lambda w: w,
-            lambda z, h: 0.5 * h * h,
-            config,
-        )
-    c = reg_coeffs(a, v)
-    fp_c = f_prime(form, c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        start = regularized_energy(form, a, z0, v, c=c)
-    # B costs n^3/2 multiply-adds once and saves (2 d_v - 1) n^2 on each
-    # product B w against L(L^T w). The budget alone decides, so a head's
-    # bits never depend on whether a neighbour already formed a shared B.
-    buys_gram = config.max_iters * (4 * ctx.d_v - 2) >= ctx.n
-    return _descend_loop(
-        z0, start.u, start.e_r, start.grad,
-        lambda z: alignment_scores(a, z, v),
-        lambda u: f_prime(form, u) - fp_c,
-        (lambda w: ctx.gram @ w) if buys_gram
-        else lambda w: alignment_scores(a, alignment_adjoint(a, w, v), v),
-        lambda w: alignment_adjoint(a, w, v),
-        lambda u, h: form_remainder(form, u, h),
-        config,
-    )

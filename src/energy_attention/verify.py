@@ -149,7 +149,10 @@ def stationarity_check(
 ) -> StationarityReport:
     """Norm of the head's gradient (grad E_R or ``linear_grad``) at AV against tol * (1 + ||AV||_F).
 
-    ``tol=0`` asks for an exact zero, which AV can meet.
+    The norm is exactly 0.0 for every form, so even ``tol=0`` passes: c is
+    u(AV) from the same ``alignment_scores`` call on the same ``a @ v``, so
+    F'(u) - F'(c) is exactly 0 (and ``linear_grad`` subtracts one product
+    from itself). It checks the regularizer's algebra, not its rounding.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")

@@ -81,6 +81,46 @@ def one_step(eta, clip_norm=None):
     return DescentConfig(eta=eta, max_iters=1, grad_tol=0.0, clip_norm=clip_norm, backtracking=False)
 
 
+# grad_tol = 0 descents at eta = 0.5 as (form, (n, d_v, sigma), config, forms
+# B), for the three maps descend binds: the Gram product B w, L(L^T w) below
+# B's budget threshold (31 (4 d_v - 2) < n), and the degree-1 functional. At
+# n = 64, d_v = 1 the scores are small, so only a wide start keeps the clip
+# active on p = 4.
+CARRIED_CASES = [
+    pytest.param(
+        form, start, DescentConfig(eta=0.5, max_iters=budget, grad_tol=0.0, clip_norm=clip),
+        forms_gram, id=f"{prefix}{form.label}-{clip}",
+    )
+    for prefix, start, budget, forms_gram in (
+        ("", (16, 4, 0.5), 200, True),
+        ("below-threshold-", (64, 1, 4.0), 31, False),
+    )
+    for form in (QUADRATIC, polynomial(4), EXPONENTIAL)
+    for clip in (None, 0.005)
+] + [
+    pytest.param(
+        ea.LINEAR, (16, 4, 0.5),
+        DescentConfig(eta=0.5, max_iters=200, grad_tol=0.0, backtracking=backtracking),
+        False, id=f"linear-backtracking={backtracking}",
+    )
+    for backtracking in (True, False)
+]
+
+
+def carried_descent(form, start, cfg):
+    """(context, trace, energy, gradient norm) of a descent, the last two
+    evaluated afresh at its returned Z."""
+    n, d_v, sigma = start
+    x, w = gaussian_head_inputs(3, n, 8, 4, d_v)
+    ctx = ea.build_context(x, w)
+    z0 = ctx.av + sigma * ea.GaussianStream(3).matrix(n, d_v)
+    z, trace = descend(form, ctx, z0, cfg)
+    if form.degree == 1:
+        return ctx, trace, ea.linear_energy(z, ctx.a, ctx.v), frobenius_norm(z - ctx.av)
+    ev = ea.regularized_energy(form, ctx.a, z, ctx.v)
+    return ctx, trace, ev.e_r, frobenius_norm(ev.grad)
+
+
 class TestDescendStep:
     def test_stationary_point_is_fixed(self):
         ctx = hand_context()
@@ -233,39 +273,25 @@ class TestDescend:
         assert trace.stop_reason == "converged" and trace.converged
         assert fixed.converged and trace.iters <= fixed.iters
 
-    @pytest.mark.parametrize("clip_norm", [None, 0.005])
-    @pytest.mark.parametrize(
-        "form", [QUADRATIC, polynomial(4), EXPONENTIAL], ids=lambda f: f.label
-    )
-    def test_carried_energy_and_gradient_match_recomputation(self, form, clip_norm):
+    @pytest.mark.parametrize("form, start, cfg, forms_gram", CARRIED_CASES)
+    def test_carried_energy_and_gradient_match_recomputation(self, form, start, cfg, forms_gram):
         # the loop carries u, E_R and the gradient from step to step; after
-        # 200 steps they must still describe the returned Z
-        x, w = gaussian_head_inputs(3, 16, 8, 4, 4)
-        ctx = ea.build_context(x, w)
-        z0 = ctx.av + 0.5 * ea.GaussianStream(3).matrix(ctx.n, ctx.d_v)
-        cfg = DescentConfig(eta=0.5, max_iters=200, grad_tol=0.0, clip_norm=clip_norm)
-        z, trace = descend(form, ctx, z0, cfg)
-        assert trace.iters == 200
-        if clip_norm is not None:
-            assert trace.grad_norms[0] > clip_norm
-        ev = ea.regularized_energy(form, ctx.a, z, ctx.v)
-        assert abs(trace.energies[-1] - ev.e_r) <= 1e-9 * (1.0 + abs(ev.e_r))
-        assert trace.grad_norms[-1] == pytest.approx(frobenius_norm(ev.grad), rel=1e-6)
+        # the whole budget they must still describe the returned Z
+        ctx, trace, energy, grad_norm = carried_descent(form, start, cfg)
+        assert trace.iters == cfg.max_iters
+        assert ("gram" in vars(ctx)) == forms_gram
+        if cfg.clip_norm is not None:
+            assert trace.grad_norms[0] > cfg.clip_norm
+        assert abs(trace.energies[-1] - energy) <= 1e-9 * (1.0 + abs(energy))
+        assert trace.grad_norms[-1] == pytest.approx(grad_norm, rel=1e-6)
         assert np.all(np.diff(trace.energies) <= 0.0)
 
-    @pytest.mark.parametrize("clip_norm", [None, 0.005])
-    @pytest.mark.parametrize(
-        "form", [QUADRATIC, polynomial(4), EXPONENTIAL], ids=lambda f: f.label
-    )
-    def test_last_grad_norm_is_taken_at_the_returned_z(self, form, clip_norm):
+    @pytest.mark.parametrize("form, start, cfg, forms_gram", CARRIED_CASES)
+    def test_last_grad_norm_is_taken_at_the_returned_z(self, form, start, cfg, forms_gram):
         # steps carry the scores through B, whose rounding the summed step
         # weights amplify; the last norm must still describe the returned Z
-        x, w = gaussian_head_inputs(3, 16, 8, 4, 4)
-        ctx = ea.build_context(x, w)
-        z0 = ctx.av + 0.5 * ea.GaussianStream(3).matrix(ctx.n, ctx.d_v)
-        cfg = DescentConfig(eta=0.5, max_iters=200, grad_tol=0.0, clip_norm=clip_norm)
-        z, trace = descend(form, ctx, z0, cfg)
-        fresh = frobenius_norm(ea.regularized_energy(form, ctx.a, z, ctx.v).grad)
+        ctx, trace, _, fresh = carried_descent(form, start, cfg)
+        assert ("gram" in vars(ctx)) == forms_gram
         assert trace.grad_norms[-1] == pytest.approx(fresh, rel=1e-12)
 
     def test_stop_is_decided_on_the_explicit_gradient_norm(self):

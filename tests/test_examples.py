@@ -33,12 +33,14 @@ def test_readme_python_blocks_run(capsys):
 
 
 def test_descent_demo_runs():
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "descent_demo.py"), "--form", "exponential",
-         "--sigma", "0.2", "--seed", "3"],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "stopped (converged)" in proc.stdout
+    # the polynomial form runs at its default degree, which is even: an odd
+    # p >= 3 has no lower bound, and at the default seed p = 3 runs away
+    for args in (["--form", "exponential", "--sigma", "0.2", "--seed", "3"], ["--form", "polynomial"]):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "descent_demo.py"), *args],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "stopped (converged)" in proc.stdout
