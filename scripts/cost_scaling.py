@@ -2,13 +2,16 @@
 """Measure the per-iteration cost of a non-linear head against the token
 count n and fit its growth exponent.
 
-Each size is timed as best-of-k wall time of ``run_head`` at two iteration
-budgets; their difference divided by the extra iterations is the cost of
-one iteration. Problem generation, the perturbation noise and the attention
-context drop out. A head forms the n x n Gram matrix B = (A^T A) o (V V^T),
-O(n^3), only when its budget repays it (max_iters (4 d_v - 2) >= n), so
-both budgets must sit on one side of that threshold at every size, or B
-would be counted as iterations; the script checks this on each run. The
+Each size is timed as best-of-k wall time of building a head's context and
+solving it (``build_context`` then ``solve_head``, the work of ``run_head``)
+at two iteration budgets; their difference divided by the extra iterations
+is the cost of one iteration. Problem generation, the perturbation noise
+and the attention context drop out. A head forms the n x n Gram matrix
+B = (A^T A) o (V V^T), O(n^3), only when its budget repays it
+(max_iters (4 d_v - 2) >= n), so both budgets must sit on one side of that
+threshold at every size, or B would be counted as iterations; the script
+checks this on each run, on the context it built (a ``run_head`` output
+does not hold B). A fit needs at least two sizes. The
 default budgets are above it at every default size: B is formed once per
 run and drops out, and one iteration is one product B w in O(n^2) plus a
 fixed ~0.05 ms of Python and O(n) work, so the fit approaches 2 only where
@@ -30,13 +33,14 @@ from energy_attention.cli import RunConfig, generate_inputs
 
 def best_time(x, weights, spec, repeats):
     """(best wall time, whether the head formed B)."""
-    out = ea.run_head(x, weights, spec)  # warmup
+    ctx = ea.build_context(x, weights)  # warmup
+    ea.solve_head(ctx, spec)
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
-        ea.run_head(x, weights, spec)
+        ea.solve_head(ea.build_context(x, weights), spec)
         best = min(best, time.perf_counter() - start)
-    return best, "gram" in vars(out.context)
+    return best, "gram" in vars(ctx)
 
 
 def per_iteration_cost(n, d, d_k, d_v, iters, repeats):
@@ -81,6 +85,8 @@ def main():
             )
         costs.append(cost)
         print(f"{n:6d} {cost * 1e3:17.3f} ms")
+    if len(set(sizes)) < 2:
+        parser.error("--sizes must name at least two different sizes to fit an exponent")
     if min(costs) <= 0:
         parser.error("a per-iteration cost came out non-positive; raise --repeats or --iters")
     slope = float(np.polyfit(np.log(sizes), np.log(costs), 1)[0])

@@ -63,7 +63,8 @@ def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
 
     A degree-1 head draws no noise, so it returns AV after zero
     iterations. Heads that read the same tokens through the same weights
-    can share one context.
+    can share one context, and the B it keeps (n^2 * 8 bytes) until the
+    caller drops it.
     """
     if ctx.d_k != spec.d_k or ctx.d_v != spec.d_v:
         raise ShapeError(
@@ -81,10 +82,16 @@ def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
 
 
 def run_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
-    """Check the weights against the spec, then build the context and solve it."""
+    """Check the weights against the spec, then build the context and solve it.
+
+    No other head can reach the context, so B (n^2 * 8 bytes) goes once the
+    descent is done: the output keeps A, V and AV but not B.
+    """
     if (w.d, w.d_k, w.d_v) != (spec.d, spec.d_k, spec.d_v):
         raise ShapeError(
             f"weights (d={w.d}, d_k={w.d_k}, d_v={w.d_v}) do not match the head spec "
             f"(d={spec.d}, d_k={spec.d_k}, d_v={spec.d_v})"
         )
-    return solve_head(build_context(x, w), spec)
+    out = solve_head(build_context(x, w), spec)
+    vars(out.context).pop("gram", None)
+    return out

@@ -1,4 +1,4 @@
-"""The user-facing examples run: the README's python blocks and the descent demo."""
+"""The user-facing examples run: the README's python blocks and the scripts."""
 
 import os
 import re
@@ -44,3 +44,33 @@ def test_descent_demo_runs():
         )
         assert proc.returncode == 0, proc.stderr
         assert "stopped (converged)" in proc.stdout
+
+
+def run_cost_scaling(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cost_scaling.py"), *args],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+
+
+def test_cost_scaling_fits_two_sizes():
+    # the exponent itself is noise at these sizes; only the fit is checked
+    proc = run_cost_scaling("--sizes", "128,256", "--iters", "50,250", "--repeats", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert "fitted exponent:" in proc.stdout
+
+
+def test_cost_scaling_refuses_budgets_on_both_sides_of_the_threshold():
+    # at n = 256, d_v = 4 the threshold is 256 / 14 = 18.3 steps: 5 steps
+    # never form B and 25 do
+    proc = run_cost_scaling("--sizes", "256", "--iters", "5,25")
+    assert proc.returncode == 2
+    assert "18.3" in proc.stderr
+
+
+def test_cost_scaling_refuses_a_fit_from_one_size():
+    proc = run_cost_scaling("--sizes", "256")
+    assert proc.returncode == 2
+    assert "fitted exponent" not in proc.stdout

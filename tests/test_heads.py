@@ -128,11 +128,17 @@ class TestRunHead:
         assert calls == []
 
     def test_only_a_stepping_head_forms_the_gram_matrix(self):
+        # run_head drops B from its own context, so each head gets a context
+        # built here and kept past solve_head
         x, w = gaussian_head_inputs(4, 4, 8, 2, 2)
         for spec in (spec_for(LINEAR), spec_for(QUADRATIC)):
-            assert "gram" not in run_head(x, w, spec).context.__dict__
+            ctx = ea.build_context(x, w)
+            solve_head(ctx, spec)
+            assert "gram" not in ctx.__dict__
         spec = HeadSpec(d=8, d_k=2, d_v=2, form=QUADRATIC, perturb_sigma=0.1, perturb_seed=1)
-        assert "gram" in run_head(x, w, spec).context.__dict__
+        ctx = ea.build_context(x, w)
+        solve_head(ctx, spec)
+        assert "gram" in ctx.__dict__
 
 
 class TestSolveHead:
@@ -150,6 +156,13 @@ class TestSolveHead:
             assert shared.context is ctx
             assert np.array_equal(shared.z, alone.z)
             assert shared.trace == alone.trace
+            # 20 * (4 d_v - 2) >= n: a stepping head forms B. The shared
+            # context keeps it for the next head; run_head's own context
+            # drops it once the head is solved, and no bit of the head moves
+            assert ("gram" in vars(ctx)) == (form != LINEAR)
+            assert "gram" not in vars(alone.context)
+            assert shared.z.tobytes() == alone.z.tobytes()
+            assert repr(shared.trace) == repr(alone.trace)
 
     def test_small_budget_head_ignores_a_gram_matrix_formed_before(self):
         # below the budget threshold a head never uses B, even one that a
