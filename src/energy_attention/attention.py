@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .energy import ShapeError, alignment_gram
+from .energy import ShapeError, _check_state, alignment_gram
 
 __all__ = [
     "ProjectionWeights",
@@ -133,10 +133,7 @@ def row_softmax(s: np.ndarray) -> np.ndarray:
 
 def attention_output(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """AV: row i is the attention-weighted combination of value rows."""
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"attention_output: a must be square, got {a.shape}")
-    if v.shape[0] != a.shape[1]:
-        raise ShapeError(f"attention_output: values {v.shape} do not match a {a.shape}")
+    _check_state(a, None, v)
     return a @ v
 
 

@@ -17,7 +17,8 @@ flags must be finite, with ``--h`` > 0 and ``--tol`` >= 0.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
 (including a finite-difference probe that leaves the float range),
-3 divergence (including exponential overflow).
+3 divergence (including exponential overflow, and a ``sweep`` with a
+diverged grid point, whose CSV is still written).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 from .attention import ProjectionWeights, build_context
 from .dynamics import DescentConfig
-from .energy import EnergyForm, ExpOverflowError
+from .energy import EnergyForm, ExpOverflowError, check_count
 from .heads import HeadSpec, run_head, solve_head
 from .matio import load_matrix, save_matrix
 from .rng import GaussianStream
@@ -79,27 +80,22 @@ class RunConfig:
     d_k: int
     d_v: int
     form: EnergyForm
-    eta: float = 0.01
-    t_max: int = 100
-    grad_tol: float = 1e-8
-    clip_norm: float | None = None
-    perturb_sigma: float = 0.0
+    eta: float = DescentConfig.eta
+    t_max: int = DescentConfig.max_iters
+    grad_tol: float = DescentConfig.grad_tol
+    clip_norm: float | None = DescentConfig.clip_norm
+    perturb_sigma: float = HeadSpec.perturb_sigma
     # a config file must name its seed; the default serves callers in Python
     seed: int = field(default=0, metadata={"required": True})
     # a sweep runs one head per grid point, so heads is never swept
     heads: int = field(default=1, metadata={"sweep": False})
 
     def __post_init__(self):
-        # HeadSpec checks d, d_k and d_v
-        for name in ("n", "t_max", "heads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed}")
+        # HeadSpec checks the rest; t_max is checked here so its error names the key
         try:
+            for name in ("n", "t_max", "heads"):
+                check_count(name, getattr(self, name))
+            check_count("seed", self.seed, 0, 2**64)
             self.head_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -132,11 +128,11 @@ class RunConfig:
 # field annotations are strings here (postponed evaluation, see the imports)
 _FIELDS = fields(RunConfig)
 _REQUIRED_KEYS = {f.name for f in _FIELDS if f.default is MISSING or f.metadata.get("required")}
-# JSON numbers read into float fields, in field order; "float | None" may be null
-_FLOAT_TYPES = {f.name: f.type for f in _FIELDS if f.type.startswith("float")}
+# float fields, in field order; a JSON integer given for one reads as a float
+_FLOAT_KEYS = [f.name for f in _FIELDS if f.type.startswith("float")]
 # sweep parameter -> parser of its --values; p is the degree inside form
 _SWEEP_PARAMS = {
-    f.name: float if f.name in _FLOAT_TYPES else int
+    f.name: float if f.name in _FLOAT_KEYS else int
     for f in _FIELDS
     if f.type.startswith(("int", "float")) and f.metadata.get("sweep", True)
 }
@@ -166,16 +162,13 @@ def parse_config(obj: dict) -> RunConfig:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     kwargs = dict(obj)
     kwargs["form"] = _parse_form(obj["form"])
-    for key, annotation in _FLOAT_TYPES.items():
-        value = obj.get(key)
-        if key not in obj or (value is None and annotation.endswith("None")):
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        try:
-            kwargs[key] = float(value)
-        except OverflowError as exc:
-            raise ConfigError(f"{key} is out of the float range: {exc}") from exc
+    # the types check every value; true and false are bools, not ints
+    for key in _FLOAT_KEYS:
+        if type(obj.get(key)) is int:
+            try:
+                kwargs[key] = float(obj[key])
+            except OverflowError as exc:
+                raise ConfigError(f"{key} is out of the float range: {exc}") from exc
     return RunConfig(**kwargs)
 
 
@@ -214,8 +207,8 @@ def _write(text: str, path=None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(rows, path) -> list[str]:
-    """Write ``rows`` as CSV and return its lines: %.17g floats, None empty, true/false."""
+def _write_csv(rows, path) -> None:
+    """Write ``rows`` as CSV: %.17g floats, None empty, true/false."""
 
     def cell(value) -> str:
         if value is None:
@@ -224,9 +217,7 @@ def _write_csv(rows, path) -> list[str]:
             return "true" if value else "false"
         return format(value, ".17g") if isinstance(value, float) else str(value)
 
-    lines = [",".join(map(cell, row)) for row in rows]
-    _write("".join(f"{line}\n" for line in lines), path)
-    return lines
+    _write("".join(",".join(map(cell, row)) + "\n" for row in rows), path)
 
 
 def cmd_gen(config: RunConfig, out_dir) -> list[Path]:
@@ -370,8 +361,9 @@ def _config_cells(config: RunConfig):
 
 
 def cmd_sweep(config: RunConfig, param: str, values, out_csv):
-    """One head run per grid point; CSV row with its config, results and wall time.
+    """One head run per grid point; returns whether any of them diverged.
 
+    Each CSV row holds its grid point's config, results and wall time.
     Every grid point's config and head spec is built before any head is
     solved, so an invalid value fails before the first descent.
     """
@@ -379,14 +371,17 @@ def cmd_sweep(config: RunConfig, param: str, values, out_csv):
     specs = [cfg.head_spec(0) for cfg in configs]
     header = [column for column, _ in _config_cells(config)]
     rows = [header + ["converged", "iters", "final_grad_norm", "wall_time_ms"]]
+    diverged = False
     for cfg, spec in zip(configs, specs):
         x, w = generate_inputs(cfg)
         start = time.perf_counter()
         trace = run_head(x, w, spec).trace
         wall_ms = format((time.perf_counter() - start) * 1e3, ".3f")
+        diverged = diverged or trace.diverged
         cells = [cell for _, cell in _config_cells(cfg)]
         rows.append(cells + [trace.converged, trace.iters, trace.grad_norms[-1], wall_ms])
-    return _write_csv(rows, out_csv)
+    _write_csv(rows, out_csv)
+    return diverged
 
 
 # Each subcommand's help and flags, as add_argument keywords; every
@@ -452,8 +447,9 @@ def main(argv=None) -> int:
         if args.command == "trace":
             return EXIT_DIVERGED if cmd_trace(config, args.out).trace.diverged else EXIT_OK
         if args.command == "sweep":
-            cmd_sweep(config, args.param, _parse_sweep_values(args.param, args.values), args.out)
-            return EXIT_OK
+            values = _parse_sweep_values(args.param, args.values)
+            diverged = cmd_sweep(config, args.param, values, args.out)
+            return EXIT_DIVERGED if diverged else EXIT_OK
         if args.command == "run":
             report, diverged = cmd_run(config, args.in_dir, emit_z=args.emit_z)
             code = EXIT_DIVERGED if diverged else EXIT_OK
@@ -466,7 +462,7 @@ def main(argv=None) -> int:
         report = json.loads(json.dumps(report), parse_constant=lambda _: None)
         _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
         return code
-    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # an exponential overflow is a divergence; a plain FloatingPointError
         # is a finite-difference probe that left the float range (--h too big)

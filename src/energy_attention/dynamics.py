@@ -42,6 +42,8 @@ from .energy import (
     EnergyForm,
     alignment_adjoint,
     alignment_scores,
+    check_count,
+    check_real,
     f_prime,
     form_remainder,
     frobenius_norm,
@@ -71,18 +73,11 @@ class DescentConfig:
     backtracking: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be finite and positive, got {self.eta}")
-        if (
-            isinstance(self.max_iters, bool)
-            or not isinstance(self.max_iters, int)
-            or self.max_iters < 1
-        ):
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0):
-            raise ValueError(f"grad_tol must be finite and >= 0, got {self.grad_tol}")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be positive when set, got {self.clip_norm}")
+        check_real("eta", self.eta, positive=True)
+        check_count("max_iters", self.max_iters)
+        check_real("grad_tol", self.grad_tol)
+        if self.clip_norm is not None:
+            check_real("clip_norm", self.clip_norm, positive=True)
 
 
 @dataclass(frozen=True)
@@ -146,65 +141,60 @@ def descend(
     run as diverged without a warning; an exponential start past
     EXP_ARG_LIMIT raises ExpOverflowError.
     """
-    a, v = ctx.a, ctx.v
-    if form.degree == 1:
-        u, e, grad = z0, linear_energy(z0, a, v), z0 - ctx.av
-        scores = lift = gram = lambda x: x
-        weights = lambda u: u - ctx.av
-        remainder = lambda u, h: 0.5 * h * h
-    else:
-        c = reg_coeffs(a, v)
-        fp_c = f_prime(form, c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            start = regularized_energy(form, a, z0, v, c=c)
-        u, e, grad = start.u, start.e_r, start.grad
-        scores = lambda z: alignment_scores(a, z, v)
-        weights = lambda u: f_prime(form, u) - fp_c
-        lift = lambda w: alignment_adjoint(a, w, v)
-        remainder = lambda u, h: form_remainder(form, u, h)
-        # B costs n^3/2 multiply-adds once and saves (2 d_v - 1) n^2 on each
-        # product B w against L(L^T w). The budget alone decides, so a head's
-        # bits never depend on whether a neighbour already formed a shared B.
-        if config.max_iters * (4 * ctx.d_v - 2) >= ctx.n:
-            gram = lambda w: ctx.gram @ w
-        else:
-            gram = lambda w: scores(lift(w))
-
     with np.errstate(over="ignore", invalid="ignore"):
+        a, v = ctx.a, ctx.v
+        if form.degree == 1:
+            u, e, grad = z0, linear_energy(z0, a, v), z0 - ctx.av
+            scores = lift = gram = lambda x: x
+            weights = lambda u: u - ctx.av
+            remainder = lambda u, h: 0.5 * h * h
+        else:
+            c = reg_coeffs(a, v)
+            fp_c = f_prime(form, c)
+            start = regularized_energy(form, a, z0, v, c=c)
+            u, e, grad = start.u, start.e_r, start.grad
+            scores = lambda z: alignment_scores(a, z, v)
+            weights = lambda u: f_prime(form, u) - fp_c
+            lift = lambda w: alignment_adjoint(a, w, v)
+            remainder = lambda u, h: form_remainder(form, u, h)
+            # B costs n^3/2 multiply-adds once and saves (2 d_v - 1) n^2 on each
+            # product B w against L(L^T w). The budget alone decides, so a head's
+            # bits never depend on whether a neighbour already formed a shared B.
+            if config.max_iters * (4 * ctx.d_v - 2) >= ctx.n:
+                gram = lambda w: ctx.gram @ w
+            else:
+                gram = lambda w: scores(lift(w))
+
         w = weights(u)
         grad_norm = frobenius_norm(grad)
-    energies, grad_norms = [e], [grad_norm]
-    z, bw, moved = z0, None, np.zeros_like(w)  # z is None once a step moved it
-    stop = None if math.isfinite(grad_norm) else "diverged"
-    rising_run = 0
-    eta = config.eta
+        energies, grad_norms = [e], [grad_norm]
+        z, bw, moved = z0, None, np.zeros_like(w)  # z is None once a step moved it
+        stop = None if math.isfinite(grad_norm) else "diverged"
+        rising_run = 0
+        eta = config.eta
 
-    def formed():
-        # carried scores drift from the formed Z's by B's rounding times
-        # |moved|, and sqrt(w^T B w) loses digits as ||L^T w|| shrinks
-        z = z0 - lift(moved)
-        u = scores(z)
-        w = weights(u)
-        with np.errstate(over="ignore"):
+        def formed():
+            # carried scores drift from the formed Z's by B's rounding times
+            # |moved|, and sqrt(w^T B w) loses digits as ||L^T w|| shrinks
+            z = z0 - lift(moved)
+            u = scores(z)
+            w = weights(u)
             return z, u, w, frobenius_norm(lift(w))
 
-    while stop is None:
-        over_budget = len(energies) > config.max_iters
-        if z is None and (grad_norm <= config.grad_tol or over_budget):
-            z, u, w, grad_norm = formed()
-            grad_norms[-1], bw = grad_norm, None
-        if grad_norm <= config.grad_tol or over_budget:
-            stop = "converged" if grad_norm <= config.grad_tol else "max_iters"
-            break
-        if bw is None:
-            bw = gram(w)
-        clip = 1.0
-        if config.clip_norm is not None and grad_norm > config.clip_norm:
-            clip = config.clip_norm / grad_norm
-        delta = clip * bw
-        # inf/nan from a wild step flag divergence below; keep numpy quiet
-        # instead of warning on the way there
-        with np.errstate(over="ignore", invalid="ignore"):
+        while stop is None:
+            over_budget = len(energies) > config.max_iters
+            if z is None and (grad_norm <= config.grad_tol or over_budget):
+                z, u, w, grad_norm = formed()
+                grad_norms[-1], bw = grad_norm, None
+            if grad_norm <= config.grad_tol or over_budget:
+                stop = "converged" if grad_norm <= config.grad_tol else "max_iters"
+                break
+            if bw is None:
+                bw = gram(w)
+            clip = 1.0
+            if config.clip_norm is not None and grad_norm > config.clip_norm:
+                clip = config.clip_norm / grad_norm
+            delta = clip * bw
             eta, de = _line_search(remainder, u, delta, float((w * delta).sum()), eta, config)
             if de is None or not math.isfinite(de):
                 stop = "stalled" if de is None else "diverged"
@@ -214,24 +204,24 @@ def descend(
             w_next = weights(u_next)
             bw_next = gram(w_next)
             next_norm = math.sqrt(max(float((w_next * bw_next).sum()), 0.0))
-        # the norm can still overflow during an energy runaway; reject that
-        # iterate the same way
-        if not (math.isfinite(e_next) and math.isfinite(next_norm)):
-            stop = "diverged"
-            break
+            # the norm can still overflow during an energy runaway; reject that
+            # iterate the same way
+            if not (math.isfinite(e_next) and math.isfinite(next_norm)):
+                stop = "diverged"
+                break
 
-        moved += (eta * clip) * w
-        if config.backtracking and de < 0:
-            # warm restart: grow the working step again after a clean
-            # decrease so stiff and flat curvature regimes both progress
-            eta *= 2.0
-        rising_run = rising_run + 1 if de > 0 else 0
-        z, u, e, w, bw, grad_norm = None, u_next, e_next, w_next, bw_next, next_norm
-        energies.append(e)
-        grad_norms.append(grad_norm)
-        if rising_run >= _DIVERGENCE_WINDOW:
-            stop = "diverged"
+            moved += (eta * clip) * w
+            if config.backtracking and de < 0:
+                # warm restart: grow the working step again after a clean
+                # decrease so stiff and flat curvature regimes both progress
+                eta *= 2.0
+            rising_run = rising_run + 1 if de > 0 else 0
+            z, u, e, w, bw, grad_norm = None, u_next, e_next, w_next, bw_next, next_norm
+            energies.append(e)
+            grad_norms.append(grad_norm)
+            if rising_run >= _DIVERGENCE_WINDOW:
+                stop = "diverged"
 
-    if z is None:
-        z, _, _, grad_norms[-1] = formed()
-    return z, DescentTrace(tuple(energies), tuple(grad_norms), stop)
+        if z is None:
+            z, _, _, grad_norms[-1] = formed()
+        return z, DescentTrace(tuple(energies), tuple(grad_norms), stop)

@@ -26,6 +26,7 @@ probes check) ``linear_energy``/``linear_grad`` instead: the functional
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -69,6 +70,22 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
+def check_count(name: str, value, low: int = 1, high: float = math.inf) -> None:
+    """Raise ValueError naming ``name`` unless value is a non-bool int in [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        positive = (low, high) == (1, math.inf)
+        rule = "a positive integer" if positive else f"an integer in [{low}, {high})"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless value is a finite non-bool real, > 0 or >= 0."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        rule = "positive" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+
+
 def frobenius_norm(a: np.ndarray) -> float:
     """sqrt(sum_ik a_ik^2)."""
     return float(np.sqrt((a * a).sum()))
@@ -92,8 +109,7 @@ class EnergyForm:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown energy form {self.kind!r}; expected one of {_KINDS}")
         if self.kind == "polynomial":
-            if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
-                raise ValueError(f"polynomial degree must be an integer >= 1, got {self.p!r}")
+            check_count("polynomial degree", self.p)
             # form_remainder needs every C(p, k) as a float; the largest is
             # C(p, p // 2) >= 2^p / (p + 1), past the float range from p = 1100
             if self.p >= 1100 or math.comb(self.p, self.p // 2) > sys.float_info.max:

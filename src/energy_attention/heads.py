@@ -16,14 +16,13 @@ command) build the context once and call ``solve_head`` for each.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attention import AttentionContext, ProjectionWeights, build_context
 from .dynamics import DescentConfig, DescentTrace, descend
-from .energy import EnergyForm, ShapeError
+from .energy import EnergyForm, ShapeError, check_count, check_real
 from .rng import GaussianStream
 
 __all__ = ["HeadSpec", "HeadOutput", "solve_head", "run_head"]
@@ -41,14 +40,13 @@ class HeadSpec:
 
     def __post_init__(self):
         for name in ("d", "d_k", "d_v"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not (math.isfinite(self.perturb_sigma) and self.perturb_sigma >= 0):
-            raise ValueError(f"perturb_sigma must be finite and >= 0, got {self.perturb_sigma}")
-        seed = self.perturb_seed
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-            raise ValueError(f"perturb_seed must be an integer in [0, 2**64), got {seed!r}")
+            check_count(name, getattr(self, name))
+        if not isinstance(self.form, EnergyForm):
+            raise ValueError(f"form must be an EnergyForm, got {self.form!r}")
+        if not isinstance(self.descent, DescentConfig):
+            raise ValueError(f"descent must be a DescentConfig, got {self.descent!r}")
+        check_real("perturb_sigma", self.perturb_sigma)
+        check_count("perturb_seed", self.perturb_seed, 0, 2**64)
 
 
 @dataclass(frozen=True)

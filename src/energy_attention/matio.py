@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .energy import ShapeError
+from .energy import ShapeError, check_count
 
 __all__ = ["dumps_matrix", "save_matrix", "load_matrix"]
 
@@ -58,8 +58,8 @@ def load_matrix(path):
     if not isinstance(obj, dict) or set(obj) != required:
         raise ValueError(f"{path}: matrix file must be an object with the keys {sorted(required)}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if any(isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in (rows, cols)):
-        raise ValueError(f"{path}: rows/cols must be positive integers")
+    check_count(f"{path}: rows", rows)
+    check_count(f"{path}: cols", cols)
     if not isinstance(data, list):
         raise ValueError(f"{path}: data must be a list")
     if len(data) != rows * cols:

@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .energy import check_count
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -36,9 +38,8 @@ class GaussianStream:
     """
 
     def __init__(self, seed: int):
-        if seed < 0 or seed > _MASK64:
-            raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-        self._state = seed & _MASK64
+        check_count("seed", seed, 0, 2**64)
+        self._state = seed
         self._spare: float | None = None
 
     def _words(self, count: int) -> np.ndarray:
@@ -65,8 +66,8 @@ class GaussianStream:
 
     def matrix(self, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
         """Row-major (rows, cols) matrix of N(0, scale^2) entries."""
-        if rows < 1 or cols < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        check_count("rows", rows)
+        check_count("cols", cols)
         out = np.empty(rows * cols, dtype=np.float64)
         start = 0
         if self._spare is not None:

@@ -24,6 +24,7 @@ from .energy import (
     EnergyForm,
     ExpOverflowError,
     alignment_scores,
+    check_real,
     energy_sums,
     f_prime,
     frobenius_norm,
@@ -72,8 +73,7 @@ def fd_gradient(energies, z: np.ndarray, h: float) -> np.ndarray:
     resolution. Probes go entry-major, plus before minus, in stacks of at most _PROBE_CHUNK_BYTES
     (one entry at least); an error names the first state or entry in that order.
     """
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"finite-difference step must be finite and positive, got {h}")
+    check_real("finite-difference step", h, positive=True)
     flat = z.ravel()
     steps = h * (1.0 + np.abs(flat))
     probed = np.column_stack([flat + steps, flat - steps]).ravel()  # states 2e, 2e + 1 probe e
@@ -129,8 +129,7 @@ def gradcheck(
     tol: float = 1e-5,
 ) -> GradCheckReport:
     """Analytic gradient versus finite differences of the energy the head descends, at one state."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    check_real("tol", tol)
     if form.degree == 1:
         analytic, energies = linear_grad(z, a, v), lambda zs: linear_energy(zs, a, v)
     else:
@@ -154,8 +153,7 @@ def stationarity_check(
     F'(u) - F'(c) is exactly 0 (and ``linear_grad`` subtracts one product
     from itself). It checks the regularizer's algebra, not its rounding.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    check_real("tol", tol)
     av = a @ v
     if form.degree == 1:
         grad = linear_grad(av, a, v)

@@ -74,7 +74,7 @@ class TestConfigParsing:
         base = {"n": 4, "d": 8, "d_k": 2, "d_v": 2, "form": {"kind": "linear"}, "seed": 0}
         assert parse_config({**base, "clip_norm": None}).clip_norm is None
         for key in ("eta", "grad_tol", "perturb_sigma"):
-            with pytest.raises(ConfigError, match=f"{key} must be a number"):
+            with pytest.raises(ConfigError, match=f"^{key} must be finite and"):
                 parse_config({**base, key: None})
 
     def test_unknown_keys_rejected(self):
@@ -337,6 +337,8 @@ class TestRun:
             # would stop every head as converged at iteration 0, then echo
             # back as a null that the config parser rejects
             {"perturb_sigma": 0.5, "grad_tol": float("inf")},
+            # would run, exit 0 and echo back as null
+            {"perturb_sigma": 0.5, "clip_norm": float("inf")},
         ],
     )
     def test_non_finite_config_values_exit_2(self, tmp_path, capsys, overrides):
@@ -634,6 +636,19 @@ class TestSweepCommand:
         seeds = [dict(zip(header, line.split(",")))["seed"] for line in lines[1:]]
         assert seeds == ["20", "21"]
 
+    def test_diverged_grid_point_exits_3_after_writing_the_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, perturb_sigma=0.1)
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--config", str(cfg), "--param", "perturb_sigma", "--values", "0.1,1e308", "--out", str(out)
+        )
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == ""
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert len(rows) == 2
+        diverged = dict(zip(header, rows[1]))
+        assert (diverged["converged"], diverged["iters"], diverged["final_grad_norm"]) == ("false", "0", "inf")
+
     def test_unknown_parameter_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         code = run_cli("sweep", "--config", str(cfg), "--param", "bogus", "--values", "1", "--out", str(tmp_path / "s.csv"))
@@ -668,7 +683,8 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "param, values", [("d_k", "4,2,0"), ("eta", "0.01,0"), ("p", "3,0"), ("p", "3,1030")]
+        "param, values",
+        [("d_k", "4,2,0"), ("eta", "0.01,0"), ("p", "3,0"), ("p", "3,1030"), ("clip_norm", "0.5,inf")],
     )
     def test_invalid_late_value_exits_2_before_any_head(self, tmp_path, monkeypatch, capsys, param, values):
         cfg = write_config(tmp_path, form={"kind": "polynomial", "p": 2})

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -201,6 +202,17 @@ class TestHeadSpec:
         dims = {"d": 8, "d_k": 2, "d_v": 2, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {value!r}$"):
             HeadSpec(**dims, form=QUADRATIC)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"form": "quadratic"}, "form must be an EnergyForm, got 'quadratic'"),
+            ({"descent": {"eta": 0.1}}, "descent must be a DescentConfig, got {'eta': 0.1}"),
+        ],
+    )
+    def test_form_and_descent_types_are_checked(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HeadSpec(**{"d": 8, "d_k": 2, "d_v": 2, "form": QUADRATIC, **overrides})
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
