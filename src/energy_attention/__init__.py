@@ -22,7 +22,6 @@ from .energy import (
     QUADRATIC,
     EnergyEval,
     EnergyForm,
-    ExpOverflowError,
     ShapeError,
     alignment_scores,
     f_apply,

@@ -16,9 +16,9 @@ sweep CSV's wall_time_ms column is the one non-deterministic field. Probe
 flags must be finite, with ``--h`` > 0 and ``--tol`` >= 0.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error
-(including a finite-difference probe that leaves the float range),
-3 divergence (including exponential overflow, and a ``sweep`` with a
-diverged grid point, whose CSV is still written).
+(including a finite-difference probe that leaves the float range, for
+every form), 3 a diverged head or ``sweep`` grid point, whose report,
+trace or CSV is still written.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .attention import ProjectionWeights, build_context
 from .dynamics import DescentConfig
-from .energy import EnergyForm, ExpOverflowError, check_count
+from .energy import EnergyForm, check_count
 from .heads import HeadSpec, run_head, solve_head
 from .matio import load_matrix, save_matrix
 from .rng import GaussianStream
@@ -463,10 +463,10 @@ def main(argv=None) -> int:
         _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
         return code
     except (ValueError, OSError, FloatingPointError) as exc:
+        # a FloatingPointError is a finite-difference probe that left the
+        # float range (--h too big)
         print(f"error: {exc}", file=sys.stderr)
-        # an exponential overflow is a divergence; a plain FloatingPointError
-        # is a finite-difference probe that left the float range (--h too big)
-        return EXIT_DIVERGED if isinstance(exc, ExpOverflowError) else EXIT_USAGE
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

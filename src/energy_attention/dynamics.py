@@ -138,8 +138,7 @@ def descend(
     first order when the scores move by -h. The start's (u, e, grad) is
     evaluated once in full; every later energy is e plus the accepted
     changes. A start past the float range, or overflow after it, stops the
-    run as diverged without a warning; an exponential start past
-    EXP_ARG_LIMIT raises ExpOverflowError.
+    run as diverged without a warning, for every form.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a, v = ctx.a, ctx.v

@@ -35,8 +35,6 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "frobenius_norm",
-    "EXP_ARG_LIMIT",
-    "ExpOverflowError",
     "EnergyForm",
     "EnergyEval",
     "LINEAR",
@@ -55,9 +53,6 @@ __all__ = [
     "linear_energy",
     "linear_grad",
 ]
-
-# exp(700) ~ 1e304; beyond this double precision overflows to inf.
-EXP_ARG_LIMIT = 700.0
 
 _KINDS = ("linear", "quadratic", "polynomial", "exponential")
 
@@ -81,7 +76,11 @@ def check_count(name: str, value, low: int = 1, high: float = math.inf) -> None:
 def check_real(name: str, value, positive: bool = False) -> None:
     """Raise ValueError naming ``name`` unless value is a finite non-bool real, > 0 or >= 0."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not (finite and (value > 0 if positive else value >= 0)):
         rule = "positive" if positive else ">= 0"
         raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
 
@@ -89,10 +88,6 @@ def check_real(name: str, value, positive: bool = False) -> None:
 def frobenius_norm(a: np.ndarray) -> float:
     """sqrt(sum_ik a_ik^2)."""
     return float(np.sqrt((a * a).sum()))
-
-
-class ExpOverflowError(FloatingPointError):
-    """An exponential-energy argument exceeds the double-precision range."""
 
 
 @dataclass(frozen=True)
@@ -153,18 +148,6 @@ class EnergyEval:
     grad: np.ndarray
 
 
-def _checked_exp_args(u: np.ndarray) -> np.ndarray:
-    if np.any(u > EXP_ARG_LIMIT):
-        # the largest argument of the first state (row of a stack) past the limit
-        states = u.reshape(-1, u.shape[-1]) if u.ndim else u.reshape(1, 1)
-        worst = float(states[(states > EXP_ARG_LIMIT).any(axis=1).argmax()].max())
-        raise ExpOverflowError(
-            f"exponential energy argument {worst:.6g} exceeds the overflow "
-            f"limit {EXP_ARG_LIMIT:g}"
-        )
-    return u
-
-
 def _power(u: np.ndarray, k: int) -> np.ndarray:
     """u**k for an integer k >= 0 in a fresh array, by multiplication.
 
@@ -183,10 +166,10 @@ def _power(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def f_apply(form: EnergyForm, u):
-    """F(u) for scalar or array u."""
+    """F(u) for scalar or array u; inf past the float range, for e^u as for a power."""
     u = np.asarray(u, dtype=np.float64)
     p = form.degree
-    out = np.exp(_checked_exp_args(u)) if p is None else _power(u, p)
+    out = np.exp(u) if p is None else _power(u, p)
     return out if out.ndim else float(out)
 
 
@@ -194,24 +177,24 @@ def f_prime(form: EnergyForm, u):
     """Exact derivative F'(u) for scalar or array u.
 
     Powers are formed by multiplication, not ``pow``, so F'(u) is within
-    p ulp of the correctly rounded p u^(p-1).
+    p ulp of the correctly rounded p u^(p-1). Past the float range it is
+    inf, as F is.
     """
     u = np.asarray(u, dtype=np.float64)
     p = form.degree
-    out = np.exp(_checked_exp_args(u)) if p is None else p * _power(u, p - 1)
+    out = np.exp(u) if p is None else p * _power(u, p - 1)
     return out if out.ndim else float(out)
 
 
 def form_remainder(form: EnergyForm, u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """F(u - h) - F(u) + F'(u) h per score, without subtracting F values.
 
-    Its rounding error thus scales with h, not F(u). An exponential argument
-    past EXP_ARG_LIMIT gives inf, where ``f_apply`` raises.
+    Its rounding error thus scales with h, not F(u). A trial past the float
+    range gives inf or nan, for e^u as for a power, and the line search
+    ends a non-finite energy change as diverged.
     """
     p = form.degree
     if p is None:
-        if np.any(u - h > EXP_ARG_LIMIT):
-            return np.full_like(h, np.inf)
         return np.exp(u) * (np.expm1(-h) + h)
     # (u - h)^p expanded from its h^2 term on; the lower terms cancel, and
     # nothing is left for p = 1. Powers are running products, not libm pow.

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (
-    EXP_ARG_LIMIT,
     EnergyEval,
     EnergyForm,
-    ExpOverflowError,
     alignment_scores,
     check_real,
     energy_sums,
@@ -71,34 +69,28 @@ def fd_gradient(energies, z: np.ndarray, h: float) -> np.ndarray:
 
     Entry (i, k) is probed at Z_ik +- h * (1 + |Z_ik|), so mixed magnitudes get comparable relative
     resolution. Probes go entry-major, plus before minus, in stacks of at most _PROBE_CHUNK_BYTES
-    (one entry at least); an error names the first state or entry in that order.
+    (one entry at least); a non-finite energy raises FloatingPointError naming the first entry in
+    that order.
     """
     check_real("finite-difference step", h, positive=True)
     flat = z.ravel()
     steps = h * (1.0 + np.abs(flat))
     probed = np.column_stack([flat + steps, flat - steps]).ravel()  # states 2e, 2e + 1 probe e
     energy = np.empty(probed.size)
-    chunk, start = 2 * max(1, _PROBE_CHUNK_BYTES // (16 * max(flat.size, 1))), 0
+    chunk = 2 * max(1, _PROBE_CHUNK_BYTES // (16 * max(flat.size, 1)))
     # a probe past the float range is reported below, not warned on
     with np.errstate(over="ignore", invalid="ignore"):
-        while start < probed.size:
+        for start in range(0, probed.size, chunk):
             stop = min(start + chunk, probed.size)
             states = np.repeat(flat[None], stop - start, axis=0)
             states[np.arange(stop - start), np.arange(start, stop) // 2] = probed[start:stop]
-            try:
-                energy[start:stop] = energies(states.reshape(-1, *z.shape))
-            except ExpOverflowError:
-                if chunk == 2:
-                    raise
-                chunk = 2  # again entry by entry: a non-finite entry before it comes first
-                continue
+            energy[start:stop] = energies(states.reshape(-1, *z.shape))
             bad = ~np.isfinite(energy[start:stop]).reshape(-1, 2).all(axis=1)
             if bad.any():
                 i, k = np.unravel_index(start // 2 + int(bad.argmax()), z.shape)
                 raise FloatingPointError(
                     f"finite-difference probe is non-finite at entry ({i}, {k})"
                 )
-            start = stop
         return ((energy[0::2] - energy[1::2]) / (2.0 * steps)).reshape(z.shape)
 
 
@@ -169,16 +161,7 @@ def stationarity_check(
 def _scalar_form(form: EnergyForm):
     """(F, F') on floats, by one formula per kind; none goes through ``form.degree``."""
     if form.kind == "exponential":
-
-        def checked_exp(t):
-            if t > EXP_ARG_LIMIT:
-                raise ExpOverflowError(
-                    f"exponential energy argument {t:.6g} exceeds the overflow "
-                    f"limit {EXP_ARG_LIMIT:g}"
-                )
-            return math.exp(t)
-
-        return checked_exp, checked_exp
+        return math.exp, math.exp
     p = form.p
     return {
         "linear": ((lambda t: t), (lambda t: 1.0)),

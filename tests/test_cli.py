@@ -312,6 +312,8 @@ class TestRun:
             {"n": 64, "d_v": 4},
             {"n": 4, "d_v": 2},
             {"n": 4, "d_v": 2, "form": {"kind": "polynomial", "p": 4}},
+            # at seed 7 the exponential start's scores are all below -1e306
+            {"n": 4, "d_v": 2, "form": {"kind": "exponential"}, "seed": 8},
         ],
     )
     def test_overflowing_start_diverges_quietly_into_standard_json(self, tmp_path, capsys, overrides):
@@ -327,6 +329,16 @@ class TestRun:
         assert head["diverged"] and head["energy_initial"] is None
         assert run_cli("trace", "--config", str(cfg), "--out", str(tmp_path / "t.csv")) == EXIT_DIVERGED
         assert capsys.readouterr().err == ""
+
+    def test_one_overflowing_head_still_reports_every_head(self, tmp_path, capsys):
+        # head 0 descends; head 1's exponential start leaves the float range
+        cfg = write_config(tmp_path, form={"kind": "exponential"}, perturb_sigma=1e4, heads=2)
+        code, report = self.gen_and_run(tmp_path, cfg)
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == ""
+        first, second = report["heads"]
+        assert not first["diverged"] and first["iters"] > 0 and first["energy_final"] is not None
+        assert second["diverged"] and second["iters"] == 0 and second["energy_initial"] is None
 
     @pytest.mark.parametrize(
         "overrides",
@@ -523,28 +535,26 @@ def test_out_of_range_probe_flags_exit_2_without_a_report(tmp_path, capsys, comm
     assert not out.exists()
 
 
-def test_exponential_overflow_in_a_probe_exits_3(tmp_path, capsys):
-    # an overflow is a divergence, even though ExpOverflowError is also a
-    # FloatingPointError, which otherwise means an out-of-range probe
+def test_exponential_overflow_in_a_probe_exits_2(tmp_path, capsys):
+    # a probe past the float range is a usage error for e^u as for a power
     cfg = write_config(tmp_path, form={"kind": "exponential"})
     out = tmp_path / "gc.json"
     code = run_cli("gradcheck", "--config", str(cfg), "--out", str(out), "--h", "1e300")
-    assert code == EXIT_DIVERGED
-    assert capsys.readouterr().err.startswith("error: exponential energy argument")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: finite-difference probe is non-finite at entry")
     assert not out.exists()
 
 
-def test_exponential_overflow_names_the_first_overflowing_probe(tmp_path, capsys):
-    # the probes run entry-major, plus before minus; the first one past the
-    # limit is named, not the largest argument of any probe
+def test_exponential_overflow_names_the_first_non_finite_entry(tmp_path, capsys):
+    # the probes run entry-major, plus before minus; at this step the scores
+    # of entries (0, 0)-(0, 2) stay below 430 and the minus probe of (0, 3)
+    # reaches 772, past the float range of e^u
     cfg = write_config(tmp_path, n=48, d=16, d_k=8, d_v=8, form={"kind": "exponential"}, seed=5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run_cli("gradcheck", "--config", str(cfg), "--h", "1e300")
-    assert code == EXIT_DIVERGED
-    assert capsys.readouterr().err == (
-        "error: exponential energy argument 1.43319e+298 exceeds the overflow limit 700\n"
-    )
+        code = run_cli("gradcheck", "--config", str(cfg), "--h", "3e4")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: finite-difference probe is non-finite at entry (0, 3)\n"
 
 
 # sha256 of the gradcheck and stationarity reports at the verify-probes
@@ -636,11 +646,15 @@ class TestSweepCommand:
         seeds = [dict(zip(header, line.split(",")))["seed"] for line in lines[1:]]
         assert seeds == ["20", "21"]
 
-    def test_diverged_grid_point_exits_3_after_writing_the_csv(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, perturb_sigma=0.1)
+    @pytest.mark.parametrize(
+        "form, values",
+        [({"kind": "quadratic"}, "0.1,1e308"), ({"kind": "exponential"}, "0.1,1e4")],
+    )
+    def test_diverged_grid_point_exits_3_after_writing_the_csv(self, tmp_path, capsys, form, values):
+        cfg = write_config(tmp_path, form=form, perturb_sigma=0.1)
         out = tmp_path / "sweep.csv"
         code = run_cli(
-            "sweep", "--config", str(cfg), "--param", "perturb_sigma", "--values", "0.1,1e308", "--out", str(out)
+            "sweep", "--config", str(cfg), "--param", "perturb_sigma", "--values", values, "--out", str(out)
         )
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().err == ""

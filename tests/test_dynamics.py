@@ -238,8 +238,8 @@ class TestDescend:
 
     @pytest.mark.parametrize("backtracking", [False, True])
     def test_exponential_overflow_flags_divergence(self, backtracking):
-        # from -z0 a step of eta = 1e6 pushes scores past the exp() limit;
-        # that ends the run as diverged instead of raising out of the loop
+        # from -z0 a step of eta = 1e6 pushes scores past the float range of
+        # e^u; the trial's energy change is inf, which ends the run as diverged
         ctx = small_context()
         z0 = ctx.av + 0.1 * ea.GaussianStream(1).matrix(ctx.n, ctx.d_v)
         cfg = DescentConfig(eta=1e6, max_iters=100, grad_tol=0.0, backtracking=backtracking)

@@ -14,7 +14,6 @@ from energy_attention.energy import (
     LINEAR,
     QUADRATIC,
     EnergyForm,
-    ExpOverflowError,
     alignment_scores,
     energy_sums,
     f_apply,
@@ -90,10 +89,13 @@ class TestScalarForms:
         u = np.array([-3.0, 0.0, 7.0])
         np.testing.assert_array_equal(f_prime(polynomial(1), u), np.ones(3))
 
-    def test_exponential_overflow_reports_argument(self):
-        with pytest.raises(ExpOverflowError) as err:
-            f_apply(EXPONENTIAL, 701.0)
-        assert "701" in str(err.value)
+    def test_exponential_past_the_float_range_is_inf(self):
+        # the float range of e^u ends near u = 709.78
+        assert math.isfinite(f_apply(EXPONENTIAL, 709.0))
+        with np.errstate(over="ignore"):
+            assert f_apply(EXPONENTIAL, 710.0) == f_prime(EXPONENTIAL, 710.0) == math.inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            f_apply(EXPONENTIAL, 710.0)
 
 
 def mixed_magnitudes(seed, size=200):
@@ -420,20 +422,34 @@ def test_norm_squared_equals_self_inner(data):
     assert abs(norm_sq - inner) <= 1e-12 * (1.0 + inner)
 
 
-def test_overflow_names_the_largest_argument_of_the_first_offending_state():
-    with pytest.raises(ExpOverflowError, match="argument 900 exceeds"):
-        f_apply(EXPONENTIAL, np.array([701.0, 900.0, 0.0]))
-    stack = np.array([[0.0, 1.0], [701.0, 702.0], [900.0, 0.0]])
-    with pytest.raises(ExpOverflowError, match="argument 702 exceeds"):
-        f_apply(EXPONENTIAL, stack)
-    with pytest.raises(ExpOverflowError, match="argument 702 exceeds"):
-        f_prime(EXPONENTIAL, stack.reshape(3, 1, 2))
+def test_exponential_overflow_is_inf_entry_by_entry():
+    # every entry of a stack is e^u, inf only where u leaves the float range
+    stack = np.array([[0.0, 1.0], [701.0, 709.0], [900.0, -900.0]])
+    with np.errstate(over="ignore"):
+        want = np.exp(stack)
+        got = f_apply(EXPONENTIAL, stack), f_prime(EXPONENTIAL, stack.reshape(3, 1, 2))
+    assert np.isinf(want).tolist() == [[False, False], [False, False], [True, False]]
+    for out in got:
+        assert_same_bits(out.reshape(3, 2), want)
 
 
-def test_overflow_propagates_through_bundle():
+def test_exponential_remainder_past_the_float_range_is_not_finite():
+    # a trial that takes a score past the float range changes the energy by
+    # inf (or nan where e^u is 0 or inf), which the line search ends as diverged
+    u = np.array([0.0, 0.0, -800.0, 710.0])
+    h = np.array([-705.0, -711.0, -1600.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest = form_remainder(EXPONENTIAL, u, h)
+    assert math.isfinite(rest[0]) and rest[0] > 0.0
+    assert rest[1] == math.inf and np.isnan(rest[2:]).all()
+
+
+def test_overflow_gives_a_non_finite_bundle():
     v_big = np.array([[30.0], [30.0]])
-    with pytest.raises(ExpOverflowError):
-        regularized_energy(EXPONENTIAL, I2, 40.0 * v_big, v_big)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = regularized_energy(EXPONENTIAL, I2, 40.0 * v_big, v_big)
+    assert out.e == math.inf
+    assert not math.isfinite(out.e_r) and not np.isfinite(out.grad).any()
 
 
 def test_public_reexports():

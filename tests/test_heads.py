@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -10,7 +11,6 @@ from energy_attention.energy import (
     EXPONENTIAL,
     LINEAR,
     QUADRATIC,
-    ExpOverflowError,
     ShapeError,
     polynomial,
 )
@@ -97,10 +97,14 @@ class TestNonlinearHead:
         np.testing.assert_array_equal(first.z, second.z)
         assert first.trace == second.trace
 
-    def test_overflowing_scale_raises_diagnostic(self):
+    def test_overflowing_scale_diverges_at_iteration_0(self):
+        # the scores at AV leave the float range of e^u; the head stops as a
+        # quadratic one does, with its start as the output and no warning
         x, w = gaussian_head_inputs(4, 4, 8, 2, 2, scale=40.0)
-        with pytest.raises(ExpOverflowError):
-            run_head(x, w, spec_for(EXPONENTIAL))
+        out = run_head(x, w, spec_for(EXPONENTIAL))
+        assert out.trace.diverged and out.trace.iters == 0
+        assert not math.isfinite(out.trace.grad_norms[0])
+        np.testing.assert_array_equal(out.z, out.context.av)
 
     def test_token_dim_mismatch(self):
         x, w = gaussian_head_inputs(4, 4, 8, 2, 2)

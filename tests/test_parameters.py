@@ -31,8 +31,9 @@ from helpers import random_attention
 REJECTED = {
     "count": [True, False, "3", None, math.nan, math.inf, -math.inf, -1, 0, 2.5],
     "seed": [True, False, "3", None, math.nan, math.inf, -math.inf, -1, 2**64, 2.5],
-    "real": [True, False, "0.5", None, math.nan, math.inf, -math.inf, -0.5],
-    "positive": [True, False, "0.5", None, math.nan, math.inf, -math.inf, -0.5, 0, 0.0],
+    # 10**400 is an int past the float range, where math.isfinite overflows
+    "real": [True, False, "0.5", None, math.nan, math.inf, -math.inf, -0.5, 10**400],
+    "positive": [True, False, "0.5", None, math.nan, math.inf, -math.inf, -0.5, 0, 0.0, 10**400],
 }
 ACCEPTED = {
     "count": [1, 3],
