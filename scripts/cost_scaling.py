@@ -10,8 +10,8 @@ and the attention context drop out. A head forms the n x n Gram matrix
 B = (A^T A) o (V V^T), O(n^3), only when its budget repays it
 (max_iters (4 d_v - 2) >= n), so both budgets must sit on one side of that
 threshold at every size, or B would be counted as iterations; the script
-checks this on each run, on the context it built (a ``run_head`` output
-does not hold B). A fit needs at least two sizes. The
+checks this on each run, on a context it built and kept (a ``run_head``
+output holds no context). A fit needs at least two sizes. The
 default budgets are above it at every default size: B is formed once per
 run and drops out, and one iteration is one product B w in O(n^2) plus a
 fixed ~0.05 ms of Python and O(n) work, so the fit approaches 2 only where

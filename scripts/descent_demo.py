@@ -38,7 +38,8 @@ def main():
     )
     x, weights = generate_inputs(config)
     spec = config.head_spec()
-    out = ea.run_head(x, weights, spec)
+    ctx = ea.build_context(x, weights)  # kept to measure the distance to AV
+    out = ea.solve_head(ctx, spec)
 
     print(f"form={spec.form.label} n={args.n} sigma={args.sigma} eta={args.eta}")
     print(f"{'iter':>5s} {'energy':>22s} {'grad_norm':>14s}")
@@ -46,7 +47,7 @@ def main():
         if i < 10 or i % 10 == 0 or i == out.trace.iters:
             print(f"{i:5d} {e:22.12e} {g:14.6e}")
     print(f"stopped ({out.trace.stop_reason}) after {out.trace.iters} iterations; "
-          f"distance to AV = {ea.frobenius_norm(out.z - out.context.av):.3e}")
+          f"distance to AV = {ea.frobenius_norm(out.z - ctx.av):.3e}")
 
 
 if __name__ == "__main__":

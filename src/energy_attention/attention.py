@@ -66,11 +66,10 @@ class AttentionContext:
     """Per-head bundle (d_k, V, A, AV), read-only after construction; Q and K are not kept.
 
     ``gram`` is the energy's Gram matrix B = L L^T (``energy.alignment_gram``),
-    read-only, n^2 * 8 bytes. It is formed on first use and kept while the
-    context lives, so heads that share a context share it; a head uses it
-    only when its step budget repays forming it (``dynamics.descend``).
-    ``heads.run_head`` drops it from the context it builds once its head is
-    solved, so a ``run_head`` output keeps A, V and AV but not B.
+    read-only, n^2 * 8 bytes. It is formed on first use and, like A, V and
+    AV, lives as long as the context, so heads that share a context share
+    it; a head uses it only when its step budget repays forming it
+    (``dynamics.descend``).
     """
 
     d_k: int

@@ -283,7 +283,7 @@ def _probe_report(config: RunConfig, check: str, params: dict, probe):
     Trial t draws the problem for seed ``config.seed + t`` and calls
     ``probe(ctx, stream)`` with its context and the stream positioned after
     the problem matrices. The probe returns a report dataclass whose fields
-    become the trial's, except the ``params`` stated once at the top.
+    become the trial's; the ``params`` are stated once, at the top.
     """
     trials = []
     for t in range(CHECK_TRIALS):
@@ -292,7 +292,7 @@ def _probe_report(config: RunConfig, check: str, params: dict, probe):
         x, w = generate_inputs(config, stream)
         trial = asdict(probe(build_context(x, w), stream))
         trial["pass"] = trial.pop("passed")
-        trials.append({"seed": seed, **{k: v for k, v in trial.items() if k not in params}})
+        trials.append({"seed": seed, **trial})
     passed = all(t["pass"] for t in trials)
     report = {"config": config.to_dict(), "check": check, **params, "trials": trials, "pass": passed}
     return report, passed

@@ -10,8 +10,9 @@ the standard attention output.
 
 ``run_head`` is the one entry point from tokens and weights: it builds the
 head's context and calls ``solve_head``, which does the work from a built
-context. Heads that share tokens and weights (every head of one ``run``
-command) build the context once and call ``solve_head`` for each.
+context. An output holds Z and its trace; a caller that needs A, V or AV, or
+that shares one context among heads (as ``run`` does), builds the context and
+calls ``solve_head``. A context's cached values live as long as the context.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class HeadSpec:
 class HeadOutput:
     z: np.ndarray
     trace: DescentTrace
-    context: AttentionContext
 
 
 def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
@@ -61,8 +61,7 @@ def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
 
     A degree-1 head draws no noise, so it returns AV after zero
     iterations. Heads that read the same tokens through the same weights
-    can share one context, and the B it keeps (n^2 * 8 bytes) until the
-    caller drops it.
+    can share one context, and with it any B it caches.
     """
     if ctx.d_k != spec.d_k or ctx.d_v != spec.d_v:
         raise ShapeError(
@@ -76,20 +75,17 @@ def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
         with np.errstate(over="ignore", invalid="ignore"):
             z0 = ctx.av + spec.perturb_sigma * noise
     z, trace = descend(spec.form, ctx, z0, spec.descent)
-    return HeadOutput(z=z, trace=trace, context=ctx)
+    return HeadOutput(z=z, trace=trace)
 
 
 def run_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:
     """Check the weights against the spec, then build the context and solve it.
 
-    No other head can reach the context, so B (n^2 * 8 bytes) goes once the
-    descent is done: the output keeps A, V and AV but not B.
+    No other head can reach the context, so it goes once the head is solved.
     """
     if (w.d, w.d_k, w.d_v) != (spec.d, spec.d_k, spec.d_v):
         raise ShapeError(
             f"weights (d={w.d}, d_k={w.d_k}, d_v={w.d_v}) do not match the head spec "
             f"(d={spec.d}, d_k={spec.d_k}, d_v={spec.d_v})"
         )
-    out = solve_head(build_context(x, w), spec)
-    vars(out.context).pop("gram", None)
-    return out
+    return solve_head(build_context(x, w), spec)

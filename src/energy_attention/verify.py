@@ -53,7 +53,6 @@ class GradCheckReport:
     max_abs_err: float
     max_rel_err: float
     worst_index: tuple[int, int]
-    h: float
     passed: bool
 
 
@@ -94,9 +93,7 @@ def fd_gradient(energies, z: np.ndarray, h: float) -> np.ndarray:
         return ((energy[0::2] - energy[1::2]) / (2.0 * steps)).reshape(z.shape)
 
 
-def compare_gradients(
-    analytic: np.ndarray, numeric: np.ndarray, h: float, tol: float
-) -> GradCheckReport:
+def compare_gradients(analytic: np.ndarray, numeric: np.ndarray, tol: float) -> GradCheckReport:
     """Entrywise comparison; relative error uses max(1, |analytic|)."""
     abs_err = np.abs(analytic - numeric)
     rel_err = abs_err / np.maximum(1.0, np.abs(analytic))
@@ -107,7 +104,6 @@ def compare_gradients(
         max_abs_err=float(abs_err.max()),
         max_rel_err=max_rel,
         worst_index=(int(worst[0]), int(worst[1])),
-        h=h,
         passed=max_rel <= tol,
     )
 
@@ -129,7 +125,7 @@ def gradcheck(
         analytic = regularized_energy(form, a, z, v, c=c).grad
         fp_c = f_prime(form, c)  # E_R of each stacked state, summed as in regularized_energy
         energies = lambda zs: np.add(*energy_sums(form, alignment_scores(a, zs, v), fp_c))
-    return compare_gradients(analytic, fd_gradient(energies, z, h), h, tol)
+    return compare_gradients(analytic, fd_gradient(energies, z, h), tol)
 
 
 def stationarity_check(
@@ -158,15 +154,32 @@ def stationarity_check(
     )
 
 
+def _past_range(f, odd: bool):
+    """f, with the OverflowError of ``math.exp`` or float ``**`` mapped to numpy's infinity.
+
+    The infinity is negative where t < 0 and ``odd`` says f is an odd power there.
+    """
+
+    def g(t):
+        try:
+            return f(t)
+        except OverflowError:
+            return -math.inf if odd and t < 0 else math.inf
+
+    return g
+
+
 def _scalar_form(form: EnergyForm):
     """(F, F') on floats, by one formula per kind; none goes through ``form.degree``."""
     if form.kind == "exponential":
-        return math.exp, math.exp
-    p = form.p
+        exp = _past_range(math.exp, odd=False)
+        return exp, exp
+    if form.kind == "polynomial":
+        p, odd = form.p, form.p % 2 == 1
+        return _past_range(lambda t: t**p, odd), _past_range(lambda t: p * t ** (p - 1), not odd)
     return {
         "linear": ((lambda t: t), (lambda t: 1.0)),
         "quadratic": ((lambda t: t * t), (lambda t: 2.0 * t)),
-        "polynomial": ((lambda t: t**p), (lambda t: p * t ** (p - 1))),
     }[form.kind]
 
 

@@ -85,7 +85,7 @@ def test_criterion_02_gradient_correctness():
         v = rng.normal(size=(n, d_v))
         z = rng.normal(size=(n, d_v))
         numeric = fd_gradient(stacked(lambda m: ea.linear_energy(m, a, v)), z, 1e-6)
-        report = compare_gradients(linear_grad(z, a, v), numeric, h=1e-6, tol=1e-5)
+        report = compare_gradients(linear_grad(z, a, v), numeric, tol=1e-5)
         worst = max(worst, report.max_rel_err)
         assert report.passed
     _report(2, "gradient vs finite differences", worst <= 1e-5, f"worst rel err {worst:.2e}")
@@ -141,8 +141,9 @@ def test_criterion_05_linear_closed_form():
     for seed in range(20):
         x, w = gaussian_head_inputs(seed, 4, 8, 2, 2)
         spec = ea.HeadSpec(d=8, d_k=2, d_v=2, form=LINEAR)
-        out = ea.run_head(x, w, spec)
-        bitwise_ok &= np.array_equal(out.z, ea.attention_output(out.context.a, out.context.v))
+        ctx = ea.build_context(x, w)
+        out = ea.solve_head(ctx, spec)
+        bitwise_ok &= np.array_equal(out.z, ea.attention_output(ctx.a, ctx.v))
 
     x, w = gaussian_head_inputs(3, 4, 8, 2, 2)
     ctx = ea.build_context(x, w)

@@ -14,10 +14,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def child_env():
-    # the child imports the same package as this process, installed or not
+    # the child imports the same package as this process, installed or not,
+    # and like pytest here (pyproject.toml) turns every warning into an error
     src = str(Path(energy_attention.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {"PYTHONPATH": os.pathsep.join(p for p in paths if p), "PYTHONWARNINGS": "error"}
+    return {**os.environ, **env}
 
 
 def test_readme_python_blocks_run(capsys):
@@ -33,9 +35,15 @@ def test_readme_python_blocks_run(capsys):
 
 
 def test_descent_demo_runs():
-    # the polynomial form runs at its default degree, which is even: an odd
-    # p >= 3 has no lower bound, and at the default seed p = 3 runs away
-    for args in (["--form", "exponential", "--sigma", "0.2", "--seed", "3"], ["--form", "polynomial"]):
+    # the polynomial form converges at its default degree, which is even: an
+    # odd p >= 3 has no lower bound, and at seed 3 p = 3 runs away for its
+    # whole budget
+    for args, stop in (
+        (["--form", "exponential", "--sigma", "0.2", "--seed", "3"], "converged"),
+        (["--form", "polynomial"], "converged"),
+        (["--form", "polynomial", "--p", "3", "--seed", "3"], "max_iters"),
+        (["--form", "linear"], "converged"),
+    ):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "descent_demo.py"), *args],
             capture_output=True,
@@ -43,7 +51,7 @@ def test_descent_demo_runs():
             env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert "stopped (converged)" in proc.stdout
+        assert f"stopped ({stop})" in proc.stdout
 
 
 def run_cost_scaling(*args):

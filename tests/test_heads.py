@@ -1,6 +1,7 @@
 import math
 import re
-from dataclasses import replace
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,30 +25,35 @@ def spec_for(form, d=8, d_k=2, d_v=2, **descent_kwargs):
     return HeadSpec(d=d, d_k=d_k, d_v=d_v, form=form, descent=descent)
 
 
+def solved(x, w, spec):
+    """(context, output) of one head; the output holds Z and the trace, not the context."""
+    ctx = ea.build_context(x, w)
+    return ctx, solve_head(ctx, spec)
+
+
 class TestLinearHead:
     def test_single_token_returns_value_row(self):
         x, w = gaussian_head_inputs(1, 1, 8, 2, 2)
-        out = run_head(x, w, spec_for(LINEAR))
-        np.testing.assert_array_equal(out.z, out.context.v)
+        ctx, out = solved(x, w, spec_for(LINEAR))
+        np.testing.assert_array_equal(out.z, ctx.v)
 
     def test_zero_tokens_give_zero_output(self):
         x, w = gaussian_head_inputs(2, 3, 8, 2, 2)
-        out = run_head(np.zeros_like(x), w, spec_for(LINEAR))
+        ctx, out = solved(np.zeros_like(x), w, spec_for(LINEAR))
         np.testing.assert_array_equal(out.z, np.zeros((3, 2)))
-        np.testing.assert_allclose(out.context.a, np.full((3, 3), 1.0 / 3.0))
+        np.testing.assert_allclose(ctx.a, np.full((3, 3), 1.0 / 3.0))
 
     def test_output_matches_attention_product_bitwise(self):
         x, w = gaussian_head_inputs(3, 4, 8, 2, 2)
-        out = run_head(x, w, spec_for(LINEAR))
-        recomputed = ea.attention_output(out.context.a, out.context.v)
+        ctx, out = solved(x, w, spec_for(LINEAR))
+        recomputed = ea.attention_output(ctx.a, ctx.v)
         assert np.array_equal(out.z, recomputed)
 
     def test_zero_iteration_trace(self):
         x, w = gaussian_head_inputs(3, 4, 8, 2, 2)
-        out = run_head(x, w, spec_for(LINEAR))
+        ctx, out = solved(x, w, spec_for(LINEAR))
         assert out.trace.iters == 0 and out.trace.converged
         assert out.trace.grad_norms == (0.0,)
-        ctx = out.context
         assert out.trace.energies == (ea.linear_energy(ctx.av, ctx.a, ctx.v),)
         assert out.z is ctx.av
 
@@ -57,12 +63,13 @@ class TestDegreeOneHead:
     def test_polynomial_one_is_the_linear_head_bit_for_bit(self, sigma):
         # F(u) = u either way: no noise is drawn and Z = AV after 0 steps
         x, w = gaussian_head_inputs(7, 6, 8, 2, 2)
+        ctx = ea.build_context(x, w)
         linear, degree_one = (
-            run_head(x, w, HeadSpec(d=8, d_k=2, d_v=2, form=form, perturb_sigma=sigma, perturb_seed=7))
+            solve_head(ctx, HeadSpec(d=8, d_k=2, d_v=2, form=form, perturb_sigma=sigma, perturb_seed=7))
             for form in (LINEAR, polynomial(1))
         )
         assert degree_one.z.tobytes() == linear.z.tobytes()
-        assert degree_one.z is degree_one.context.av
+        assert degree_one.z is ctx.av
         # repr tells -0.0 from 0.0 and keeps every digit
         assert repr(degree_one.trace) == repr(linear.trace)
         assert degree_one.trace.stop_reason == "converged" and degree_one.trace.energies[0] < 0.0
@@ -72,9 +79,9 @@ class TestNonlinearHead:
     def test_unperturbed_start_is_stationary(self):
         x, w = gaussian_head_inputs(4, 4, 8, 2, 2)
         for form in (QUADRATIC, polynomial(3), EXPONENTIAL):
-            out = run_head(x, w, spec_for(form))
+            ctx, out = solved(x, w, spec_for(form))
             assert out.trace.converged and out.trace.iters == 0
-            np.testing.assert_array_equal(out.z, out.context.av)
+            np.testing.assert_array_equal(out.z, ctx.av)
 
     def test_perturbed_quadratic_descends_back(self):
         seed, n, d_v = wellconditioned_head_seeds(1)[0]
@@ -101,10 +108,10 @@ class TestNonlinearHead:
         # the scores at AV leave the float range of e^u; the head stops as a
         # quadratic one does, with its start as the output and no warning
         x, w = gaussian_head_inputs(4, 4, 8, 2, 2, scale=40.0)
-        out = run_head(x, w, spec_for(EXPONENTIAL))
+        ctx, out = solved(x, w, spec_for(EXPONENTIAL))
         assert out.trace.diverged and out.trace.iters == 0
         assert not math.isfinite(out.trace.grad_norms[0])
-        np.testing.assert_array_equal(out.z, out.context.av)
+        np.testing.assert_array_equal(out.z, ctx.av)
 
     def test_token_dim_mismatch(self):
         x, w = gaussian_head_inputs(4, 4, 8, 2, 2)
@@ -132,8 +139,31 @@ class TestRunHead:
             run_head(x, w, spec_for(QUADRATIC, **dims))
         assert calls == []
 
+    @pytest.mark.parametrize("form", [LINEAR, QUADRATIC, polynomial(4), EXPONENTIAL])
+    def test_output_pins_no_context(self, monkeypatch, form):
+        # the context run_head builds goes, with A, V, AV and any B cached
+        # on it, once the head is solved; the output keeps Z and the trace
+        x, w = gaussian_head_inputs(8, 5, 8, 2, 3)
+        refs = []
+
+        def tracked_build_context(*args):
+            ctx = ea.build_context(*args)
+            refs.append(weakref.ref(ctx))
+            return ctx
+
+        monkeypatch.setattr(heads, "build_context", tracked_build_context)
+        spec = HeadSpec(
+            d=8, d_k=2, d_v=3, form=form,
+            descent=ea.DescentConfig(eta=0.1, max_iters=20),
+            perturb_sigma=0.1, perturb_seed=1,
+        )
+        out = run_head(x, w, spec)
+        assert [f.name for f in fields(out)] == ["z", "trace"]
+        assert len(refs) == 1 and refs[0]() is None
+        assert out.z.shape == (5, 3) and (out.trace.iters > 0) == (form != LINEAR)
+
     def test_only_a_stepping_head_forms_the_gram_matrix(self):
-        # run_head drops B from its own context, so each head gets a context
+        # a run_head output holds no context, so each head gets a context
         # built here and kept past solve_head
         x, w = gaussian_head_inputs(4, 4, 8, 2, 2)
         for spec in (spec_for(LINEAR), spec_for(QUADRATIC)):
@@ -158,14 +188,12 @@ class TestSolveHead:
                 perturb_sigma=0.1, perturb_seed=seed,
             )
             shared, alone = solve_head(ctx, spec), run_head(x, w, spec)
-            assert shared.context is ctx
             assert np.array_equal(shared.z, alone.z)
             assert shared.trace == alone.trace
             # 20 * (4 d_v - 2) >= n: a stepping head forms B. The shared
             # context keeps it for the next head; run_head's own context
-            # drops it once the head is solved, and no bit of the head moves
+            # goes with its B once the head is solved, and no bit moves
             assert ("gram" in vars(ctx)) == (form != LINEAR)
-            assert "gram" not in vars(alone.context)
             assert shared.z.tobytes() == alone.z.tobytes()
             assert repr(shared.trace) == repr(alone.trace)
 
@@ -183,7 +211,7 @@ class TestSolveHead:
         assert "gram" in vars(ctx)
         small = replace(big, descent=replace(big.descent, max_iters=5), perturb_seed=2)
         shared, alone = solve_head(ctx, small), run_head(x, w, small)
-        assert "gram" not in vars(alone.context) and shared.trace.iters > 0
+        assert shared.trace.iters > 0
         assert shared.z.tobytes() == alone.z.tobytes()
         assert repr(shared.trace) == repr(alone.trace)
 
