@@ -15,7 +15,7 @@ from .attention import (
     row_softmax,
     scaled_scores,
 )
-from .dynamics import DescentConfig, DescentTrace, descend
+from .dynamics import DescentConfig, DescentTrace, HeadOutput, descend
 from .energy import (
     EXPONENTIAL,
     LINEAR,
@@ -33,7 +33,7 @@ from .energy import (
     reg_coeffs,
     regularized_energy,
 )
-from .heads import HeadOutput, HeadSpec, run_head, solve_head
+from .heads import HeadSpec, run_head, solve_head
 from .rng import GaussianStream
 from .verify import (
     GradCheckReport,

@@ -111,23 +111,19 @@ def scaled_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     return s
 
 
-def _softmax_rows(s: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """Shift each row of s by its max, exponentiate and normalise, into out."""
+def row_softmax(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with per-row max subtraction, written into ``out``.
+
+    The shift leaves each row's distribution unchanged while keeping every
+    exponent <= 0, so entries stay representable for arbitrarily large
+    scores. With ``out`` None it works in one fresh n x n buffer and leaves
+    ``s`` unchanged; ``build_context`` passes ``out=s`` to overwrite the
+    scores instead, with the same arithmetic.
+    """
     e = np.subtract(s, s.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
-
-
-def row_softmax(s: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction.
-
-    The shift leaves each row's distribution unchanged while keeping every
-    exponent <= 0, so entries stay representable for arbitrarily large
-    scores. It works in one fresh n x n buffer and leaves ``s`` unchanged;
-    ``build_context`` runs the same arithmetic in the scores' own buffer.
-    """
-    return _softmax_rows(s, None)
 
 
 def attention_output(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -139,13 +135,13 @@ def attention_output(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def build_context(x: np.ndarray, w: ProjectionWeights) -> AttentionContext:
     """Run projections, scores, softmax and output once for a head.
 
-    The softmax overwrites the freshly allocated scores, so a head holds one
-    n x n buffer here; A equals ``row_softmax(scaled_scores(q, k))`` bit
-    for bit.
+    ``row_softmax(s, out=s)`` overwrites the freshly allocated scores, so a
+    head holds one n x n buffer here; A equals
+    ``row_softmax(scaled_scores(q, k))`` bit for bit.
     """
     q, k, v = project(x, w)
     s = scaled_scores(q, k)
-    a = _softmax_rows(s, s)
+    a = row_softmax(s, out=s)
     av = attention_output(a, v)
     for arr in (v, a, av):
         arr.setflags(write=False)

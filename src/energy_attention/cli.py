@@ -2,7 +2,10 @@
 
 Subcommands: ``gen`` (seeded problem files), ``run`` (execute heads and
 report), ``gradcheck`` / ``stationarity`` (verification probes), ``trace``
-(per-iteration CSV) and ``sweep`` (parameter grids with wall times).
+(per-iteration CSV) and ``sweep`` (parameter grids with wall times). Each
+is one ``cmd_<name>(config, ...)`` whose other parameters are its flags'
+argparse dests; it writes its own output and returns its exit code, and
+``main`` only loads the config and maps a usage error to exit 2.
 
 Configs and reports are JSON, traces and sweeps CSV; a report writes each
 non-finite float (a diverged start, say) as null. The fields of
@@ -220,16 +223,24 @@ def _write_csv(rows, path) -> None:
     _write("".join(",".join(map(cell, row)) + "\n" for row in rows), path)
 
 
-def cmd_gen(config: RunConfig, out_dir) -> list[Path]:
-    """Write the four problem matrices as JSON files under ``out_dir``."""
-    out_dir = Path(out_dir)
+def _write_report(report: dict, out) -> None:
+    """Write ``report`` as sorted, indented JSON to ``out`` (stdout when None)."""
+    # NaN and +-Infinity are not JSON: a round trip reads them back as null
+    report = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+
+
+def cmd_gen(config: RunConfig, out) -> int:
+    """Write the four problem matrices as JSON files under ``out``, then print their paths."""
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     x, w = generate_inputs(config)
     paths = []
     for name, matrix in zip(_matrix_shapes(config), (x, w.w_q, w.w_k, w.w_v)):
         paths.append(out_dir / f"{name}.json")
         save_matrix(paths[-1], name, matrix)
-    return paths
+    _write("".join(f"{path}\n" for path in paths))
+    return EXIT_OK
 
 
 def _load_inputs(config: RunConfig, in_dir):
@@ -246,8 +257,8 @@ def _load_inputs(config: RunConfig, in_dir):
     return x, ProjectionWeights(*weights)
 
 
-def cmd_run(config: RunConfig, in_dir, emit_z: bool = False):
-    """Execute the configured heads; returns (report, any_diverged).
+def cmd_run(config: RunConfig, in_dir, out=None, emit_z: bool = False) -> int:
+    """Execute the configured heads and write their report; exit 3 if any diverged.
 
     Every head reads the same tokens through the same weights, so one
     attention context serves them all; only the perturbation noise differs.
@@ -256,8 +267,8 @@ def cmd_run(config: RunConfig, in_dir, emit_z: bool = False):
     ctx = build_context(x, w)
     entries = []
     for index in range(config.heads):
-        out = solve_head(ctx, config.head_spec(index))
-        trace = out.trace
+        head = solve_head(ctx, config.head_spec(index))
+        trace = head.trace
         entry = {
             "form": config.form.kind,
             "iters": trace.iters,
@@ -269,16 +280,17 @@ def cmd_run(config: RunConfig, in_dir, emit_z: bool = False):
         }
         if emit_z:
             entry["z"] = {
-                "rows": out.z.shape[0],
-                "cols": out.z.shape[1],
-                "data": out.z.ravel(order="C").tolist(),
+                "rows": head.z.shape[0],
+                "cols": head.z.shape[1],
+                "data": head.z.ravel(order="C").tolist(),
             }
         entries.append(entry)
-    return {"config": config.to_dict(), "heads": entries}, any(e["diverged"] for e in entries)
+    _write_report({"config": config.to_dict(), "heads": entries}, out)
+    return EXIT_DIVERGED if any(e["diverged"] for e in entries) else EXIT_OK
 
 
-def _probe_report(config: RunConfig, check: str, params: dict, probe):
-    """Run ``probe`` on CHECK_TRIALS seeded instances; returns (report, passed).
+def _probe_report(config: RunConfig, check: str, params: dict, probe, out) -> int:
+    """Run ``probe`` on CHECK_TRIALS seeded instances and write the report; exit 1 on a fail.
 
     Trial t draws the problem for seed ``config.seed + t`` and calls
     ``probe(ctx, stream)`` with its context and the stream positioned after
@@ -295,37 +307,37 @@ def _probe_report(config: RunConfig, check: str, params: dict, probe):
         trials.append({"seed": seed, **trial})
     passed = all(t["pass"] for t in trials)
     report = {"config": config.to_dict(), "check": check, **params, "trials": trials, "pass": passed}
-    return report, passed
+    _write_report(report, out)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_gradcheck(config: RunConfig, tol: float = 1e-5, h: float = 1e-6):
+def cmd_gradcheck(config: RunConfig, out=None, tol: float = 1e-5, h: float = 1e-6) -> int:
     """Finite-difference gradient checks on seeded instances."""
 
     def probe(ctx, stream):
         z = stream.matrix(config.n, config.d_v)
         return gradcheck(config.form, ctx.a, ctx.v, z, h=h, tol=tol)
 
-    return _probe_report(config, "gradient", {"h": h, "tol": tol}, probe)
+    return _probe_report(config, "gradient", {"h": h, "tol": tol}, probe, out)
 
 
-def cmd_stationarity(config: RunConfig, tol: float = 1e-8):
+def cmd_stationarity(config: RunConfig, out=None, tol: float = 1e-8) -> int:
     """Gradient-at-AV checks on seeded instances."""
 
     def probe(ctx, stream):
         return stationarity_check(config.form, ctx.a, ctx.v, tol=tol)
 
-    return _probe_report(config, "stationarity", {"tol": tol}, probe)
+    return _probe_report(config, "stationarity", {"tol": tol}, probe, out)
 
 
-def cmd_trace(config: RunConfig, out_csv):
-    """Run one head and export its trace as ``iter,energy,grad_norm`` rows."""
+def cmd_trace(config: RunConfig, out) -> int:
+    """Export one head's trace as ``iter,energy,grad_norm`` rows; exit 3 if it diverged."""
     x, w = generate_inputs(config)
-    out = run_head(x, w, config.head_spec(0))
-    trace = out.trace
+    trace = run_head(x, w, config.head_spec(0)).trace
     rows = [("iter", "energy", "grad_norm")]
     rows += [(i, e, g) for i, (e, g) in enumerate(zip(trace.energies, trace.grad_norms))]
-    _write_csv(rows, out_csv)
-    return out
+    _write_csv(rows, out)
+    return EXIT_DIVERGED if trace.diverged else EXIT_OK
 
 
 def _parse_sweep_values(param: str, text: str):
@@ -360,14 +372,16 @@ def _config_cells(config: RunConfig):
             yield key, value
 
 
-def cmd_sweep(config: RunConfig, param: str, values, out_csv):
-    """One head run per grid point; returns whether any of them diverged.
+def cmd_sweep(config: RunConfig, param: str, values: str, out) -> int:
+    """One head run per value of the comma-separated ``values``; exit 3 if any diverged.
 
     Each CSV row holds its grid point's config, results and wall time.
-    Every grid point's config and head spec is built before any head is
-    solved, so an invalid value fails before the first descent.
+    Every value is parsed, and every grid point's config and head spec is
+    built, before any head is solved, so an invalid value fails before the
+    first descent.
     """
-    configs = [_sweep_config(config, param, value, index) for index, value in enumerate(values)]
+    grid = _parse_sweep_values(param, values)
+    configs = [_sweep_config(config, param, value, index) for index, value in enumerate(grid)]
     specs = [cfg.head_spec(0) for cfg in configs]
     header = [column for column, _ in _config_cells(config)]
     rows = [header + ["converged", "iters", "final_grad_norm", "wall_time_ms"]]
@@ -380,8 +394,8 @@ def cmd_sweep(config: RunConfig, param: str, values, out_csv):
         diverged = diverged or trace.diverged
         cells = [cell for _, cell in _config_cells(cfg)]
         rows.append(cells + [trace.converged, trace.iters, trace.grad_norms[-1], wall_ms])
-    _write_csv(rows, out_csv)
-    return diverged
+    _write_csv(rows, out)
+    return EXIT_DIVERGED if diverged else EXIT_OK
 
 
 # Each subcommand's help and flags, as add_argument keywords; every
@@ -435,33 +449,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    # the cmd_* names are looked up here, at call time, so that a wrapper
-    # set on this module (a tracer, a test double) sees every call
+    flags = vars(_build_parser().parse_args(argv))
+    # cmd_<name> is looked up here, at call time, so that a wrapper set on
+    # this module (a tracer, a test double) sees every call
+    command = globals()[f"cmd_{flags.pop('command')}"]
     try:
         # every subcommand reads its config first
-        config = load_config(args.config)
-        if args.command == "gen":
-            _write("".join(f"{path}\n" for path in cmd_gen(config, args.out)))
-            return EXIT_OK
-        if args.command == "trace":
-            return EXIT_DIVERGED if cmd_trace(config, args.out).trace.diverged else EXIT_OK
-        if args.command == "sweep":
-            values = _parse_sweep_values(args.param, args.values)
-            diverged = cmd_sweep(config, args.param, values, args.out)
-            return EXIT_DIVERGED if diverged else EXIT_OK
-        if args.command == "run":
-            report, diverged = cmd_run(config, args.in_dir, emit_z=args.emit_z)
-            code = EXIT_DIVERGED if diverged else EXIT_OK
-        else:
-            probe = cmd_gradcheck if args.command == "gradcheck" else cmd_stationarity
-            flags = {key: value for key, value in vars(args).items() if key in ("tol", "h")}
-            report, passed = probe(config, **flags)
-            code = EXIT_OK if passed else EXIT_CHECK_FAILED
-        # NaN and +-Infinity are not JSON: a round trip reads them back as null
-        report = json.loads(json.dumps(report), parse_constant=lambda _: None)
-        _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-        return code
+        return command(load_config(flags.pop("config")), **flags)
     except (ValueError, OSError, FloatingPointError) as exc:
         # a FloatingPointError is a finite-difference probe that left the
         # float range (--h too big)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from .energy import (
 __all__ = [
     "DescentConfig",
     "DescentTrace",
+    "HeadOutput",
     "descend",
 ]
 
@@ -112,6 +114,13 @@ class DescentTrace:
         return self.stop_reason == "diverged"
 
 
+class HeadOutput(NamedTuple):
+    """A solved head: its final state Z and the trace of the descent to it."""
+
+    z: np.ndarray
+    trace: DescentTrace
+
+
 def _line_search(remainder, u, delta, slope, eta, config):
     """(working eta, energy change) of the first acceptable trial step.
 
@@ -129,8 +138,8 @@ def _line_search(remainder, u, delta, slope, eta, config):
 
 def descend(
     form: EnergyForm, ctx: AttentionContext, z0: np.ndarray, config: DescentConfig
-):
-    """Run the head's dynamics from z0; returns (z_final, trace).
+) -> HeadOutput:
+    """Run the head's dynamics from z0; returns ``HeadOutput(z, trace)``.
 
     Each functional binds the same maps, which one loop reads: the iterate's
     scores u = scores(Z) and weights w = weights(u), its gradient lift(w),
@@ -223,4 +232,4 @@ def descend(
 
         if z is None:
             z, _, _, grad_norms[-1] = formed()
-        return z, DescentTrace(tuple(energies), tuple(grad_norms), stop)
+        return HeadOutput(z, DescentTrace(tuple(energies), tuple(grad_norms), stop))

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionContext, ProjectionWeights, build_context
-from .dynamics import DescentConfig, DescentTrace, descend
+from .dynamics import DescentConfig, HeadOutput, descend
 from .energy import EnergyForm, ShapeError, check_count, check_real
 from .rng import GaussianStream
 
-__all__ = ["HeadSpec", "HeadOutput", "solve_head", "run_head"]
+__all__ = ["HeadSpec", "solve_head", "run_head"]
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,8 @@ class HeadSpec:
         check_count("perturb_seed", self.perturb_seed, 0, 2**64)
 
 
-@dataclass(frozen=True)
-class HeadOutput:
-    z: np.ndarray
-    trace: DescentTrace
-
-
 def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
-    """Head output from a built context: descend from Z0 = AV (+ seeded noise).
+    """Descend from Z0 = AV (+ seeded noise) on a built context; returns ``descend``'s output.
 
     A degree-1 head draws no noise, so it returns AV after zero
     iterations. Heads that read the same tokens through the same weights
@@ -74,8 +68,7 @@ def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
         # a start past the float range stops the descent as diverged
         with np.errstate(over="ignore", invalid="ignore"):
             z0 = ctx.av + spec.perturb_sigma * noise
-    z, trace = descend(spec.form, ctx, z0, spec.descent)
-    return HeadOutput(z=z, trace=trace)
+    return descend(spec.form, ctx, z0, spec.descent)
 
 
 def run_head(x: np.ndarray, w: ProjectionWeights, spec: HeadSpec) -> HeadOutput:

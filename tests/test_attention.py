@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from energy_attention import attention
 from energy_attention.attention import (
     AttentionContext,
     ProjectionWeights,
@@ -160,6 +161,21 @@ class TestBuildContext:
         s_before = s.copy()
         assert np.array_equal(ctx.a, row_softmax(s))
         assert np.array_equal(s, s_before)
+
+    def test_softmax_runs_through_row_softmax_once(self, monkeypatch):
+        # the softmax layer is one function, so a wrapper on it sees every
+        # call; it writes A over the scores, the head's one n x n buffer
+        calls = []
+
+        def counting_row_softmax(s, out=None):
+            calls.append((s, out))
+            return row_softmax(s, out=out)
+
+        monkeypatch.setattr(attention, "row_softmax", counting_row_softmax)
+        x, w = gaussian_head_inputs(5, 4, 8, 2, 2)
+        ctx = build_context(x, w)
+        assert len(calls) == 1
+        assert calls[0][0] is ctx.a and calls[0][1] is ctx.a
 
 
 class TestGram:

@@ -99,6 +99,34 @@ class TestConfigParsing:
             })
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["gen", "--out", "data"], {"out": "data"}),
+        (["run", "--in", "data"], {"in_dir": "data", "out": None, "emit_z": False}),
+        (["gradcheck", "--out", "gc.json", "--tol", "0.5", "--h", "0.25"],
+         {"out": "gc.json", "tol": 0.5, "h": 0.25}),
+        (["stationarity"], {"out": None}),
+        (["trace", "--out", "trace.csv"], {"out": "trace.csv"}),
+        (["sweep", "--param", "eta", "--values", "0.1,0.2", "--out", "sweep.csv"],
+         {"param": "eta", "values": "0.1,0.2", "out": "sweep.csv"}),
+    ],
+)
+def test_main_returns_the_subcommands_exit_code(tmp_path, monkeypatch, argv, flags):
+    # main only loads the config and dispatches: a stub set on cli.cmd_<name>
+    # receives the config and the flags by their argparse dests
+    cfg = write_config(tmp_path)
+    calls = []
+
+    def stub(config, **kwargs):
+        calls.append((config, kwargs))
+        return 42
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", stub)
+    assert run_cli(*argv, "--config", str(cfg)) == 42
+    assert calls == [(cli.load_config(cfg), flags)]
+
+
 class TestGen:
     def test_writes_four_matrix_files(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -383,7 +411,9 @@ class TestRun:
             return build_context(*args)
 
         monkeypatch.setattr(cli, "build_context", counting_build_context)
-        report, _ = cli.cmd_run(config, tmp_path / "data", emit_z=True)
+        path = tmp_path / "report.json"
+        assert cli.cmd_run(config, tmp_path / "data", path, emit_z=True) == EXIT_OK
+        report = json.loads(path.read_text())
         assert len(calls) == 1
         monkeypatch.undo()
         x, w = cli.generate_inputs(config)
@@ -411,7 +441,9 @@ class TestRun:
         counting = functools.cached_property(counting_gram)
         counting.__set_name__(AttentionContext, "gram")
         monkeypatch.setattr(AttentionContext, "gram", counting)
-        report, _ = cli.cmd_run(config, tmp_path / "data")
+        path = tmp_path / "report.json"
+        assert cli.cmd_run(config, tmp_path / "data", path) == EXIT_OK
+        report = json.loads(path.read_text())
         assert [entry["iters"] > 0 for entry in report["heads"]] == [True] * 3
         assert len(formed) == 1
 

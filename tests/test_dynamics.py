@@ -379,6 +379,13 @@ class TestLinearDescent:
             assert grad_norm == pytest.approx(expected, rel=1e-9)
 
 
+def test_descend_returns_a_head_output():
+    ctx = small_context()
+    out = descend(QUADRATIC, ctx, ctx.av, DescentConfig())
+    assert isinstance(out, ea.HeadOutput)
+    assert out.z is out[0] and out.trace is out[1] and out.trace.converged
+
+
 def test_trace_dataclass_shape():
     trace = DescentTrace(energies=(1.0,), grad_norms=(0.0,), stop_reason="converged")
     assert trace.iters == 0 and trace.converged and not trace.diverged
