@@ -8,15 +8,14 @@ at two iteration budgets; their difference divided by the extra iterations
 is the cost of one iteration. Problem generation, the perturbation noise
 and the attention context drop out. A head forms the n x n Gram matrix
 B = (A^T A) o (V V^T), O(n^3), only when its budget repays it
-(max_iters (4 d_v - 2) >= n), so both budgets must sit on one side of that
+(``dynamics.gram_repays``), so both budgets must sit on one side of that
 threshold at every size, or B would be counted as iterations; the script
-checks this on each run, on a context it built and kept (a ``run_head``
-output holds no context). A fit needs at least two sizes. The
-default budgets are above it at every default size: B is formed once per
-run and drops out, and one iteration is one product B w in O(n^2) plus a
-fixed ~0.05 ms of Python and O(n) work, so the fit approaches 2 only where
-the product dominates, from n ~ 1024; over the default sizes it read 1.65
-on a 2-vCPU VM.
+refuses a budget pair that does not before it times anything. A fit needs
+at least two sizes. The default budgets are above it at every default
+size: B is formed once per run and drops out, and one iteration is one
+product B w in O(n^2) plus a fixed ~0.05 ms of Python and O(n) work, so
+the fit approaches 2 only where the product dominates, from n ~ 1024;
+over the default sizes it read 1.65 on a 2-vCPU VM.
 
 Example:
     python scripts/cost_scaling.py --sizes 256,512,1024,2048 --repeats 5
@@ -29,23 +28,22 @@ import numpy as np
 
 import energy_attention as ea
 from energy_attention.cli import RunConfig, generate_inputs
+from energy_attention.dynamics import gram_repays
 
 
 def best_time(x, weights, spec, repeats):
-    """(best wall time, whether the head formed B)."""
-    ctx = ea.build_context(x, weights)  # warmup
-    ea.solve_head(ctx, spec)
+    ea.solve_head(ea.build_context(x, weights), spec)  # warmup
     best = np.inf
     for _ in range(repeats):
         start = time.perf_counter()
         ea.solve_head(ea.build_context(x, weights), spec)
         best = min(best, time.perf_counter() - start)
-    return best, "gram" in vars(ctx)
+    return best
 
 
 def per_iteration_cost(n, d, d_k, d_v, iters, repeats):
     x, weights = generate_inputs(RunConfig(n=n, d=d, d_k=d_k, d_v=d_v, form=ea.QUADRATIC, seed=n))
-    times, formed = [], set()
+    times = []
     for max_iters in iters:
         # a tiny fixed step with no tolerance stop runs exactly max_iters
         # iterations of one product B w each
@@ -56,10 +54,8 @@ def per_iteration_cost(n, d, d_k, d_v, iters, repeats):
             ),
             perturb_sigma=0.1, perturb_seed=n,
         )
-        best, gram = best_time(x, weights, spec, repeats)
-        times.append(best)
-        formed.add(gram)
-    return (times[1] - times[0]) / (iters[1] - iters[0]), len(formed) == 1
+        times.append(best_time(x, weights, spec, repeats))
+    return (times[1] - times[0]) / (iters[1] - iters[0])
 
 
 def main():
@@ -74,17 +70,17 @@ def main():
     iters = [int(tok) for tok in args.iters.split(",")]
     if len(iters) != 2 or not 1 <= iters[0] < iters[1]:
         parser.error("--iters must be two budgets 1 <= low < high")
-    costs = []
-    print(f"{'n':>6s} {'per-iteration cost':>20s}")
     for n in sizes:
-        cost, one_side = per_iteration_cost(n, 8, 4, args.d_v, iters, args.repeats)
-        if not one_side:
+        if gram_repays(iters[0], n, args.d_v) != gram_repays(iters[1], n, args.d_v):
             parser.error(
                 f"at n={n} one budget forms B and the other does not; pick budgets "
                 f"both >= or both < n / (4 d_v - 2) = {n / (4 * args.d_v - 2):.1f}"
             )
-        costs.append(cost)
-        print(f"{n:6d} {cost * 1e3:17.3f} ms")
+    costs = []
+    print(f"{'n':>6s} {'per-iteration cost':>20s}")
+    for n in sizes:
+        costs.append(per_iteration_cost(n, 8, 4, args.d_v, iters, args.repeats))
+        print(f"{n:6d} {costs[-1] * 1e3:17.3f} ms")
     if len(set(sizes)) < 2:
         parser.error("--sizes must name at least two different sizes to fit an exponent")
     if min(costs) <= 0:

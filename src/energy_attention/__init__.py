@@ -28,7 +28,6 @@ from .energy import (
     f_prime,
     frobenius_norm,
     linear_energy,
-    linear_grad,
     polynomial,
     reg_coeffs,
     regularized_energy,

@@ -316,7 +316,7 @@ def cmd_gradcheck(config: RunConfig, out=None, tol: float = 1e-5, h: float = 1e-
 
     def probe(ctx, stream):
         z = stream.matrix(config.n, config.d_v)
-        return gradcheck(config.form, ctx.a, ctx.v, z, h=h, tol=tol)
+        return gradcheck(config.form, ctx, z, h=h, tol=tol)
 
     return _probe_report(config, "gradient", {"h": h, "tol": tol}, probe, out)
 
@@ -325,7 +325,7 @@ def cmd_stationarity(config: RunConfig, out=None, tol: float = 1e-8) -> int:
     """Gradient-at-AV checks on seeded instances."""
 
     def probe(ctx, stream):
-        return stationarity_check(config.form, ctx.a, ctx.v, tol=tol)
+        return stationarity_check(config.form, ctx, tol=tol)
 
     return _probe_report(config, "stationarity", {"tol": tol}, probe, out)
 

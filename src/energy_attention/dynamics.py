@@ -6,8 +6,8 @@ gradient is L^T w with the score weights w = F'(u) - F'(c). A step of size
 a with clip factor s moves the scores to u - a s B w, B = L L^T, so an
 accepted step costs one product B w, which also gives the next gradient
 norm sqrt(w^T B w). B w is a product with the context's cached Gram matrix
-when the step budget repays forming it, max_iters (4 d_v - 2) >= n, and
-L(L^T w), two products with A, below that; the two agree to rounding.
+when the step budget repays forming it (``gram_repays``), and L(L^T w),
+two products with A, otherwise; the two agree to rounding.
 Z is formed once, as Z0 - L^T(sum_t a_t s_t w_t), and a stop is decided
 at that formed Z on its explicit gradient norm; if that norm is above
 grad_tol the run steps on. A line-search trial at step size a costs O(n):
@@ -57,6 +57,7 @@ __all__ = [
     "DescentConfig",
     "DescentTrace",
     "HeadOutput",
+    "gram_repays",
     "descend",
 ]
 
@@ -136,6 +137,16 @@ def _line_search(remainder, u, delta, slope, eta, config):
     return eta, None
 
 
+def gram_repays(max_iters: int, n: int, d_v: int) -> bool:
+    """Whether a head with this step budget forms the Gram matrix B: max_iters (4 d_v - 2) >= n.
+
+    B costs n^3/2 multiply-adds once and saves (2 d_v - 1) n^2 on each
+    product B w against L(L^T w). The budget alone decides, so a head's
+    bits never depend on whether a neighbour already formed a shared B.
+    """
+    return max_iters * (4 * d_v - 2) >= n
+
+
 def descend(
     form: EnergyForm, ctx: AttentionContext, z0: np.ndarray, config: DescentConfig
 ) -> HeadOutput:
@@ -146,18 +157,19 @@ def descend(
     gram(w) = B w, and remainder(u, h), the per-score energy change beyond
     first order when the scores move by -h. The start's (u, e, grad) is
     evaluated once in full; every later energy is e plus the accepted
-    changes. A start past the float range, or overflow after it, stops the
-    run as diverged without a warning, for every form.
+    changes. AV and B are read from the context, never formed here. A
+    start past the float range, or overflow after it, stops the run as
+    diverged without a warning, for every form.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         a, v = ctx.a, ctx.v
         if form.degree == 1:
-            u, e, grad = z0, linear_energy(z0, a, v), z0 - ctx.av
+            u, e, grad = z0, linear_energy(z0, ctx.av), z0 - ctx.av
             scores = lift = gram = lambda x: x
             weights = lambda u: u - ctx.av
             remainder = lambda u, h: 0.5 * h * h
         else:
-            c = reg_coeffs(a, v)
+            c = reg_coeffs(a, ctx.av, v)
             fp_c = f_prime(form, c)
             start = regularized_energy(form, a, z0, v, c=c)
             u, e, grad = start.u, start.e_r, start.grad
@@ -165,10 +177,7 @@ def descend(
             weights = lambda u: f_prime(form, u) - fp_c
             lift = lambda w: alignment_adjoint(a, w, v)
             remainder = lambda u, h: form_remainder(form, u, h)
-            # B costs n^3/2 multiply-adds once and saves (2 d_v - 1) n^2 on each
-            # product B w against L(L^T w). The budget alone decides, so a head's
-            # bits never depend on whether a neighbour already formed a shared B.
-            if config.max_iters * (4 * ctx.d_v - 2) >= ctx.n:
+            if gram_repays(config.max_iters, ctx.n, ctx.d_v):
                 gram = lambda w: ctx.gram @ w
             else:
                 gram = lambda w: scores(lift(w))

@@ -13,13 +13,15 @@ gradient, with the adjoint L^T w = A diag(w) V,
 
     grad E_R = L^T (F'(u) - F'(c)) = A diag(F'(u_j) - F'(c_j)) V
 
-then vanishes at Z = AV for every differentiable F. c = u(AV) costs
-O(n^2 d_v). The descent reads the rest from here too: the line-search
+then vanishes at Z = AV for every differentiable F. AV itself is formed
+once, by ``attention.build_context``; every formula here that needs it
+takes it as an argument, so c = u(AV) costs O(n^2 d_v) and no second
+product A V. The descent reads the rest from here too: the line-search
 remainder F(u - h) - F(u) + F'(u) h and the Gram matrix
 B = L L^T = (A^T A) o (V V^T), which the attention context caches.
 
 For F(u) = u, E_R is identically 0, so a degree-1 head descends (and the
-probes check) ``linear_energy``/``linear_grad`` instead: the functional
+probes check) ``linear_energy`` instead: the functional
 -<Z, AV> + 0.5 <Z, Z>, whose gradient Z - AV vanishes at AV unregularized.
 """
 
@@ -51,7 +53,6 @@ __all__ = [
     "energy_sums",
     "regularized_energy",
     "linear_energy",
-    "linear_grad",
 ]
 
 _KINDS = ("linear", "quadratic", "polynomial", "exponential")
@@ -253,15 +254,14 @@ def alignment_gram(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return b
 
 
-def reg_coeffs(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+def reg_coeffs(a: np.ndarray, av: np.ndarray, v: np.ndarray) -> np.ndarray:
     """c_j = sum_m A_mj sum_l A_ml (v_l . v_j), i.e. u_j at Z = AV.
 
-    Evaluated as ``alignment_scores`` at G = AV in O(n^2 d_v), so c equals
-    u(AV) bit for bit and the gradient at AV is exactly 0; no n^3 product
-    is formed.
+    Evaluated as ``alignment_scores`` at the given AV in O(n^2 d_v), so c
+    equals u(AV) bit for bit and the gradient at that AV is exactly 0; no
+    n^3 product is formed.
     """
-    _check_state(a, None, v)
-    return alignment_scores(a, a @ v, v)
+    return alignment_scores(a, av, v)
 
 
 def energy_sums(form: EnergyForm, u: np.ndarray, fp_c: np.ndarray):
@@ -270,19 +270,9 @@ def energy_sums(form: EnergyForm, u: np.ndarray, fp_c: np.ndarray):
 
 
 def regularized_energy(
-    form: EnergyForm,
-    a: np.ndarray,
-    z: np.ndarray,
-    v: np.ndarray,
-    c: np.ndarray | None = None,
+    form: EnergyForm, a: np.ndarray, z: np.ndarray, v: np.ndarray, c: np.ndarray
 ) -> EnergyEval:
-    """Evaluate (u, c, E, R, E_R, grad E_R) at one state.
-
-    ``c`` may be passed in when precomputed for a fixed (A, V); it is
-    recomputed otherwise.
-    """
-    if c is None:
-        c = reg_coeffs(a, v)
+    """Evaluate (u, c, E, R, E_R, grad E_R) at one state, given c = ``reg_coeffs(a, av, v)``."""
     u = alignment_scores(a, z, v)
     fp_u = f_prime(form, u)
     fp_c = f_prime(form, c)
@@ -291,15 +281,9 @@ def regularized_energy(
     return EnergyEval(u=u, c=c, e=e, r=r, e_r=e + r, grad=grad)
 
 
-def linear_energy(z: np.ndarray, a: np.ndarray, v: np.ndarray):
-    """-<Z, AV> + 0.5 <Z, Z> of one state (a float) or of each of a stack; least at Z = AV."""
-    _check_state(a, z, v)
-    av = a @ v
+def linear_energy(z: np.ndarray, av: np.ndarray):
+    """-<Z, AV> + 0.5 <Z, Z> of one state (a float) or of each of a stack; gradient Z - AV."""
+    if z.shape[-2:] != av.shape:
+        raise ShapeError(f"state {z.shape} must match the attention output shape {av.shape}")
     e = -(z * av).sum(axis=(-2, -1)) + 0.5 * (z * z).sum(axis=(-2, -1))
     return e if e.ndim else float(e)
-
-
-def linear_grad(z: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gradient Z - AV of ``linear_energy``; zero iff Z == AV."""
-    _check_state(a, z, v)
-    return z - a @ v

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import AttentionContext
 from .energy import (
     EnergyEval,
     EnergyForm,
@@ -27,7 +28,6 @@ from .energy import (
     f_prime,
     frobenius_norm,
     linear_energy,
-    linear_grad,
     reg_coeffs,
     regularized_energy,
 )
@@ -110,18 +110,18 @@ def compare_gradients(analytic: np.ndarray, numeric: np.ndarray, tol: float) -> 
 
 def gradcheck(
     form: EnergyForm,
-    a: np.ndarray,
-    v: np.ndarray,
+    ctx: AttentionContext,
     z: np.ndarray,
     h: float = 1e-6,
     tol: float = 1e-5,
 ) -> GradCheckReport:
     """Analytic gradient versus finite differences of the energy the head descends, at one state."""
     check_real("tol", tol)
+    a, v = ctx.a, ctx.v
     if form.degree == 1:
-        analytic, energies = linear_grad(z, a, v), lambda zs: linear_energy(zs, a, v)
+        analytic, energies = z - ctx.av, lambda zs: linear_energy(zs, ctx.av)
     else:
-        c = reg_coeffs(a, v)
+        c = reg_coeffs(a, ctx.av, v)
         analytic = regularized_energy(form, a, z, v, c=c).grad
         fp_c = f_prime(form, c)  # E_R of each stacked state, summed as in regularized_energy
         energies = lambda zs: np.add(*energy_sums(form, alignment_scores(a, zs, v), fp_c))
@@ -129,24 +129,21 @@ def gradcheck(
 
 
 def stationarity_check(
-    form: EnergyForm,
-    a: np.ndarray,
-    v: np.ndarray,
-    tol: float = 1e-8,
+    form: EnergyForm, ctx: AttentionContext, tol: float = 1e-8
 ) -> StationarityReport:
-    """Norm of the head's gradient (grad E_R or ``linear_grad``) at AV against tol * (1 + ||AV||_F).
+    """Norm of the head's gradient (grad E_R, or Z - AV) at AV against tol * (1 + ||AV||_F).
 
     The norm is exactly 0.0 for every form, so even ``tol=0`` passes: c is
-    u(AV) from the same ``alignment_scores`` call on the same ``a @ v``, so
-    F'(u) - F'(c) is exactly 0 (and ``linear_grad`` subtracts one product
-    from itself). It checks the regularizer's algebra, not its rounding.
+    u(AV) from the same ``alignment_scores`` call on the context's AV, so
+    F'(u) - F'(c) is exactly 0 (and Z - AV subtracts AV from itself). It
+    checks the regularizer's algebra, not its rounding.
     """
     check_real("tol", tol)
-    av = a @ v
+    av = ctx.av
     if form.degree == 1:
-        grad = linear_grad(av, a, v)
+        grad = av - av
     else:
-        grad = regularized_energy(form, a, av, v, c=reg_coeffs(a, v)).grad
+        grad = regularized_energy(form, ctx.a, av, ctx.v, c=reg_coeffs(ctx.a, av, ctx.v)).grad
     grad_norm = frobenius_norm(grad)
     scale = 1.0 + frobenius_norm(av)
     return StationarityReport(

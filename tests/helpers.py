@@ -30,6 +30,23 @@ def stacked(energy_fn):
     return lambda states: [energy_fn(z) for z in states]
 
 
+def context(a, v, av=None):
+    """A hand-built context over A and V whose AV is ``av``, a @ v unless given; d_k is unused."""
+    return ea.AttentionContext(d_k=1, v=v, a=a, av=a @ v if av is None else av)
+
+
+def offset_context(seed=7, n=6, d_v=2, offset=0.5):
+    """A context whose read-only AV is a @ v plus seeded noise.
+
+    Code that multiplies A by V itself, rather than read ``ctx.av``, sees
+    another AV than the context's and so fails a check made at ``ctx.av``.
+    """
+    ctx = ea.build_context(*gaussian_head_inputs(seed, n, 8, 4, d_v))
+    av = ctx.a @ ctx.v + offset * GaussianStream(seed + 1).matrix(n, d_v)
+    av.setflags(write=False)
+    return context(ctx.a, ctx.v, av)
+
+
 def random_attention(rng, n, sharpness=1.0):
     """Row-stochastic attention weights from random scores."""
     return ea.row_softmax(sharpness * rng.normal(size=(n, n)))

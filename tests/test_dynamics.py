@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import energy_attention as ea
-from energy_attention.dynamics import DescentConfig, DescentTrace, descend
+from energy_attention.dynamics import DescentConfig, DescentTrace, descend, gram_repays
 from energy_attention.energy import (
     EXPONENTIAL,
     QUADRATIC,
@@ -15,7 +15,7 @@ from energy_attention.energy import (
     polynomial,
 )
 
-from helpers import gaussian_head_inputs, wellconditioned_head_seeds
+from helpers import gaussian_head_inputs, offset_context, wellconditioned_head_seeds
 
 ALL_FORMS = [ea.LINEAR, QUADRATIC, polynomial(1), polynomial(3), EXPONENTIAL]
 
@@ -116,8 +116,8 @@ def carried_descent(form, start, cfg):
     z0 = ctx.av + sigma * ea.GaussianStream(3).matrix(n, d_v)
     z, trace = descend(form, ctx, z0, cfg)
     if form.degree == 1:
-        return ctx, trace, ea.linear_energy(z, ctx.a, ctx.v), frobenius_norm(z - ctx.av)
-    ev = ea.regularized_energy(form, ctx.a, z, ctx.v)
+        return ctx, trace, ea.linear_energy(z, ctx.av), frobenius_norm(z - ctx.av)
+    ev = ea.regularized_energy(form, ctx.a, z, ctx.v, c=ea.reg_coeffs(ctx.a, ctx.av, ctx.v))
     return ctx, trace, ev.e_r, frobenius_norm(ev.grad)
 
 
@@ -301,7 +301,8 @@ class TestDescend:
         z0 = ctx.av + 0.1 * ea.GaussianStream(1).matrix(ctx.n, ctx.d_v)
         ctx.__dict__["gram"] = ctx.gram * 1e-12
         z, trace = descend(QUADRATIC, ctx, z0, DescentConfig(eta=0.5, max_iters=20, grad_tol=1e-6))
-        fresh = frobenius_norm(ea.regularized_energy(QUADRATIC, ctx.a, z, ctx.v).grad)
+        c = ea.reg_coeffs(ctx.a, ctx.av, ctx.v)
+        fresh = frobenius_norm(ea.regularized_energy(QUADRATIC, ctx.a, z, ctx.v, c=c).grad)
         assert trace.stop_reason == "max_iters" and trace.iters == 20
         assert trace.grad_norms[-1] == fresh > 1e-6
 
@@ -315,6 +316,11 @@ class TestDescend:
 
 class TestGramBudgetRule:
     """B is formed iff max_iters (4 d_v - 2) >= n; else B w is L(L^T w)."""
+
+    def test_rule_is_an_integer_comparison(self):
+        assert gram_repays(32, 64, 1) and not gram_repays(31, 64, 1)
+        # 2^53 + 1 tokens: a float product would round the budget up to n
+        assert not gram_repays(2**52, 2**53 + 1, 1)
 
     @staticmethod
     def start():
@@ -341,6 +347,24 @@ class TestGramBudgetRule:
         assert "gram" in vars(ctx)
         assert np.allclose(short.energies, long.energies[:6], rtol=1e-12, atol=0.0)
         assert np.allclose(short.grad_norms, long.grad_norms[:6], rtol=1e-12, atol=0.0)
+
+
+class TestOneAttentionOutput:
+    """descend reads the context's AV; it never multiplies A by V itself."""
+
+    def test_linear_start_energy_is_taken_at_the_context_av(self):
+        ctx = offset_context()
+        z0 = np.ones((ctx.n, ctx.d_v))
+        _, trace = descend(ea.LINEAR, ctx, z0, DescentConfig(eta=0.5, max_iters=3))
+        assert trace.energies[0] == ea.linear_energy(z0, ctx.av)
+        assert trace.energies[0] != ea.linear_energy(z0, ctx.a @ ctx.v)
+
+    @pytest.mark.parametrize("form", [QUADRATIC, polynomial(3), EXPONENTIAL], ids=lambda f: f.label)
+    def test_nonlinear_head_is_stationary_at_the_context_av(self, form):
+        # c is u(ctx.av), so the gradient there is exactly 0
+        ctx = offset_context()
+        _, trace = descend(form, ctx, ctx.av, DescentConfig(grad_tol=0.0))
+        assert trace.converged and trace.iters == 0 and trace.grad_norms == (0.0,)
 
 
 class TestLinearDescent:

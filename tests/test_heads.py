@@ -54,7 +54,7 @@ class TestLinearHead:
         ctx, out = solved(x, w, spec_for(LINEAR))
         assert out.trace.iters == 0 and out.trace.converged
         assert out.trace.grad_norms == (0.0,)
-        assert out.trace.energies == (ea.linear_energy(ctx.av, ctx.a, ctx.v),)
+        assert out.trace.energies == (ea.linear_energy(ctx.av, ctx.av),)
         assert out.z is ctx.av
 
 

@@ -26,7 +26,7 @@ from energy_attention import (
 from energy_attention.cli import ConfigError, RunConfig
 from energy_attention.matio import load_matrix
 
-from helpers import random_attention
+from helpers import context, random_attention
 
 REJECTED = {
     "count": [True, False, "3", None, math.nan, math.inf, -math.inf, -1, 0, 2.5],
@@ -42,8 +42,9 @@ ACCEPTED = {
     "positive": [5e-324, 1, 1.5, 1e308, np.float64(0.5), np.float32(0.5)],
 }
 
-_A = random_attention(np.random.default_rng(0), 3)
-_V = np.random.default_rng(1).normal(size=(3, 2))
+_CTX = context(
+    random_attention(np.random.default_rng(0), 3), np.random.default_rng(1).normal(size=(3, 2))
+)
 
 
 def _load(key, value):
@@ -98,12 +99,12 @@ PARAMETERS = [
         ValueError,
         [],
     ),
-    ("gradcheck", "tol", "real", lambda x: gradcheck(QUADRATIC, _A, _V, _A @ _V, tol=x), ValueError, []),
+    ("gradcheck", "tol", "real", lambda x: gradcheck(QUADRATIC, _CTX, _CTX.av, tol=x), ValueError, []),
     (
         "stationarity_check",
         "tol",
         "real",
-        lambda x: stationarity_check(QUADRATIC, _A, _V, tol=x),
+        lambda x: stationarity_check(QUADRATIC, _CTX, tol=x),
         ValueError,
         [],
     ),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from energy_attention.energy import (
     QUADRATIC,
     frobenius_norm,
     linear_energy,
-    linear_grad,
     polynomial,
     reg_coeffs,
     regularized_energy,
@@ -27,7 +27,14 @@ from energy_attention.verify import (
     stationarity_check,
 )
 
-from helpers import gaussian_head_inputs, random_attention, stacked, unregularized_grad
+from helpers import (
+    context,
+    gaussian_head_inputs,
+    offset_context,
+    random_attention,
+    stacked,
+    unregularized_grad,
+)
 
 I2 = np.eye(2)
 V12 = np.array([[1.0], [2.0]])
@@ -54,7 +61,7 @@ class TestFdGradient:
         np.testing.assert_array_equal(fd, np.zeros((2, 2)))
 
     def test_matches_hand_computed_gradient(self):
-        c = reg_coeffs(I2, V12)
+        c = reg_coeffs(I2, I2 @ V12, V12)
         fd = fd_gradient(
             stacked(lambda z: regularized_energy(QUADRATIC, I2, z, V12, c=c).e_r),
             np.zeros((2, 1)),
@@ -124,14 +131,14 @@ class TestStackedProbes:
             x, w = gaussian_head_inputs(seed, n, 16, 8, d_v)
             ctx = build_context(x, w)
             z = ea.GaussianStream(seed + 100).matrix(n, d_v)
-            c = reg_coeffs(ctx.a, ctx.v)
+            c = reg_coeffs(ctx.a, ctx.av, ctx.v)
             if form.degree == 1:  # the energy a degree-1 head descends; its E_R is 0
-                expected = per_state_fd(lambda m: linear_energy(m, ctx.a, ctx.v), z, 1e-6)
+                expected = per_state_fd(lambda m: linear_energy(m, ctx.av), z, 1e-6)
             else:
                 expected = per_state_fd(
                     lambda m: regularized_energy(form, ctx.a, m, ctx.v, c=c).e_r, z, 1e-6
                 )
-            gradcheck(form, ctx.a, ctx.v, z)
+            gradcheck(form, ctx, z)
             np.testing.assert_array_equal(captured[-1].view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("states_per_chunk", [2, 6, 8])
@@ -162,7 +169,7 @@ class TestStackedProbes:
         v, z = rng.normal(size=(n, d_v)), rng.normal(size=(n, d_v))
         tracemalloc.start()
         try:
-            gradcheck(QUADRATIC, a, v, z)
+            gradcheck(QUADRATIC, context(a, v), z)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -175,9 +182,9 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
     rng = np.random.default_rng(0)
     a, v = random_attention(rng, 3), rng.normal(size=(3, 2))
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-        gradcheck(QUADRATIC, a, v, a @ v, tol=tol)
+        gradcheck(QUADRATIC, context(a, v), a @ v, tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-        stationarity_check(QUADRATIC, a, v, tol=tol)
+        stationarity_check(QUADRATIC, context(a, v), tol=tol)
 
 
 class TestGradcheck:
@@ -187,9 +194,9 @@ class TestGradcheck:
         a = random_attention(rng, 3)
         v = rng.normal(size=(3, 2))
         z = rng.normal(size=(3, 2))
-        report = gradcheck(polynomial(1), a, v, z)
+        report = gradcheck(polynomial(1), context(a, v), z)
         assert report.passed and report.max_abs_err > 0.0
-        assert not gradcheck(polynomial(1), a, v, z, tol=0.0).passed
+        assert not gradcheck(polynomial(1), context(a, v), z, tol=0.0).passed
 
     def test_degree_one_form_equals_the_linear_form(self):
         x, w = gaussian_head_inputs(7, 6, 8, 2, 2)
@@ -197,10 +204,8 @@ class TestGradcheck:
         for seed in range(3):
             z = ctx.av + 0.5 * ea.GaussianStream(seed).matrix(6, 2)
             for tol in (1e-5, 0.0):
-                assert gradcheck(polynomial(1), ctx.a, ctx.v, z, tol=tol) == gradcheck(
-                    LINEAR, ctx.a, ctx.v, z, tol=tol
-                )
-        assert stationarity_check(polynomial(1), ctx.a, ctx.v) == stationarity_check(LINEAR, ctx.a, ctx.v)
+                assert gradcheck(polynomial(1), ctx, z, tol=tol) == gradcheck(LINEAR, ctx, z, tol=tol)
+        assert stationarity_check(polynomial(1), ctx) == stationarity_check(LINEAR, ctx)
 
     @pytest.mark.parametrize("form", ALL_FORMS)
     def test_random_instances_pass(self, form):
@@ -208,7 +213,7 @@ class TestGradcheck:
         a = random_attention(rng, 4)
         v = rng.normal(size=(4, 3))
         z = rng.normal(size=(4, 3))
-        report = gradcheck(form, a, v, z, h=1e-6, tol=1e-5)
+        report = gradcheck(form, context(a, v), z, h=1e-6, tol=1e-5)
         assert report.passed, f"{form.label}: {report}"
 
     def test_sign_flip_fault_is_detected(self):
@@ -216,7 +221,7 @@ class TestGradcheck:
         a = random_attention(rng, 4)
         v = rng.normal(size=(4, 2))
         z = rng.normal(size=(4, 2))
-        c = reg_coeffs(a, v)
+        c = reg_coeffs(a, a @ v, v)
         analytic = regularized_energy(QUADRATIC, a, z, v, c=c).grad
         numeric = fd_gradient(stacked(lambda m: regularized_energy(QUADRATIC, a, m, v, c=c).e_r), z, 1e-6)
         report = compare_gradients(-analytic, numeric, tol=1e-5)
@@ -225,21 +230,23 @@ class TestGradcheck:
         assert 0 <= i < 4 and 0 <= k < 2
 
     def test_sign_flipped_linear_gradient_is_detected(self, monkeypatch):
-        # the linear form's E_R is 0 at every state, so its probe differences linear_energy
+        # the linear form's E_R is 0 at every state, so its probe differences
+        # linear_energy; flipping that energy flips the numeric gradient
+        # against the analytic Z - AV
         rng = np.random.default_rng(3)
         a = random_attention(rng, 4)
         v, z = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
-        assert gradcheck(LINEAR, a, v, z).passed
-        monkeypatch.setattr(verify, "linear_grad", lambda *args: -linear_grad(*args))
-        assert not gradcheck(LINEAR, a, v, z).passed
+        assert gradcheck(LINEAR, context(a, v), z).passed
+        monkeypatch.setattr(verify, "linear_energy", lambda zs, av: -linear_energy(zs, av))
+        assert not gradcheck(LINEAR, context(a, v), z).passed
 
     def test_step_size_window_is_consistent(self):
         rng = np.random.default_rng(4)
         a = random_attention(rng, 4)
         v = rng.normal(size=(4, 2))
         z = rng.normal(size=(4, 2))
-        coarse = gradcheck(EXPONENTIAL, a, v, z, h=1e-6, tol=1e-5)
-        fine = gradcheck(EXPONENTIAL, a, v, z, h=1e-7, tol=1e-5)
+        coarse = gradcheck(EXPONENTIAL, context(a, v), z, h=1e-6, tol=1e-5)
+        fine = gradcheck(EXPONENTIAL, context(a, v), z, h=1e-7, tol=1e-5)
         assert coarse.passed and fine.passed
 
 
@@ -255,15 +262,19 @@ class TestStationarityCheck:
         rng = np.random.default_rng(5)
         a = random_attention(rng, 5)
         v = rng.normal(size=(5, 3))
-        report = stationarity_check(form, a, v, tol=1e-8)
+        report = stationarity_check(form, context(a, v), tol=1e-8)
         assert report.passed
 
     def test_linear_form_probes_the_linear_gradient(self, monkeypatch):
+        # a degree-1 probe takes Z - AV at AV, never grad E_R: a fault in the
+        # E_R path fails a quadratic probe and leaves the linear one at 0
         rng = np.random.default_rng(5)
-        a, v = random_attention(rng, 5), rng.normal(size=(5, 3))
-        assert stationarity_check(LINEAR, a, v, tol=0.0).grad_norm_at_av == 0.0
-        monkeypatch.setattr(verify, "linear_grad", lambda z, a, v: linear_grad(z, a, v) + 1e-3)
-        assert not stationarity_check(LINEAR, a, v).passed
+        ctx = context(random_attention(rng, 5), rng.normal(size=(5, 3)))
+        assert stationarity_check(LINEAR, ctx, tol=0.0).grad_norm_at_av == 0.0
+        faulty = lambda *args, **kwargs: replace(regularized_energy(*args, **kwargs), grad=np.ones((5, 3)))
+        monkeypatch.setattr(verify, "regularized_energy", faulty)
+        assert stationarity_check(LINEAR, ctx, tol=0.0).grad_norm_at_av == 0.0
+        assert not stationarity_check(QUADRATIC, ctx).passed
 
     def test_unregularized_quadratic_fails_on_hand_case(self):
         grad_norm, passed = unregularized_probe(QUADRATIC, I2, V12)
@@ -281,6 +292,24 @@ class TestStationarityCheck:
     def test_zero_values_pass_trivially(self):
         grad_norm, passed = unregularized_probe(QUADRATIC, I2, np.zeros((2, 1)))
         assert passed and grad_norm == 0.0
+
+
+class TestOneAttentionOutput:
+    """Both probes read the context's AV; neither multiplies A by V itself."""
+
+    @pytest.mark.parametrize("form", [LINEAR, QUADRATIC, EXPONENTIAL], ids=lambda f: f.label)
+    def test_stationarity_is_measured_at_the_context_av(self, form):
+        ctx = offset_context()
+        report = stationarity_check(form, ctx, tol=0.0)
+        assert report.scale == 1.0 + frobenius_norm(ctx.av)
+        assert report.scale != 1.0 + frobenius_norm(ctx.a @ ctx.v)
+        assert report.grad_norm_at_av == 0.0 and report.passed
+
+    @pytest.mark.parametrize("form", [LINEAR, QUADRATIC], ids=lambda f: f.label)
+    def test_gradcheck_differences_the_energy_of_the_context_av(self, form):
+        ctx = offset_context()
+        z = ctx.av + ea.GaussianStream(11).matrix(ctx.n, ctx.d_v)
+        assert gradcheck(form, ctx, z).passed
 
 
 class TestBruteForce:
@@ -321,7 +350,7 @@ class TestBruteForce:
             v = rng.normal(size=(n, d_v))
             z = rng.normal(size=(n, d_v))
         with np.errstate(over="ignore", invalid="ignore"):
-            fast = regularized_energy(form, a, z, v)
+            fast = regularized_energy(form, a, z, v, c=reg_coeffs(a, a @ v, v))
         brute = bruteforce_energy(form, a, z, v)
         tol = 1e-10
         for got, want in ((fast.e, brute.e), (fast.r, brute.r), (fast.e_r, brute.e_r)):
