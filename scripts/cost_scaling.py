@@ -72,9 +72,11 @@ def main():
         parser.error("--iters must be two budgets 1 <= low < high")
     for n in sizes:
         if gram_repays(iters[0], n, args.d_v) != gram_repays(iters[1], n, args.d_v):
+            # one of the two budgets forms B, so a budget up to the higher one does
+            first = next(t for t in range(1, iters[1] + 1) if gram_repays(t, n, args.d_v))
             parser.error(
                 f"at n={n} one budget forms B and the other does not; pick budgets "
-                f"both >= or both < n / (4 d_v - 2) = {n / (4 * args.d_v - 2):.1f}"
+                f"both below or both at least {first}, the first budget that forms B"
             )
     costs = []
     print(f"{'n':>6s} {'per-iteration cost':>20s}")

@@ -63,7 +63,7 @@ class ProjectionWeights:
 
 @dataclass(frozen=True)
 class AttentionContext:
-    """Per-head bundle (d_k, V, A, AV), read-only after construction; Q and K are not kept.
+    """Per-head bundle (V, A, AV), read-only after construction; Q, K and d_k are not kept.
 
     ``gram`` is the energy's Gram matrix B = L L^T (``energy.alignment_gram``),
     read-only, n^2 * 8 bytes. It is formed on first use and, like A, V and
@@ -72,7 +72,6 @@ class AttentionContext:
     (``dynamics.descend``).
     """
 
-    d_k: int
     v: np.ndarray
     a: np.ndarray
     av: np.ndarray
@@ -145,4 +144,4 @@ def build_context(x: np.ndarray, w: ProjectionWeights) -> AttentionContext:
     av = attention_output(a, v)
     for arr in (v, a, av):
         arr.setflags(write=False)
-    return AttentionContext(d_k=w.d_k, v=v, a=a, av=av)
+    return AttentionContext(v=v, a=a, av=av)

@@ -315,7 +315,7 @@ def cmd_gradcheck(config: RunConfig, out=None, tol: float = 1e-5, h: float = 1e-
     """Finite-difference gradient checks on seeded instances."""
 
     def probe(ctx, stream):
-        z = stream.matrix(config.n, config.d_v)
+        z = stream.matrix(ctx.n, ctx.d_v)
         return gradcheck(config.form, ctx, z, h=h, tol=tol)
 
     return _probe_report(config, "gradient", {"h": h, "tol": tol}, probe, out)
@@ -376,20 +376,19 @@ def cmd_sweep(config: RunConfig, param: str, values: str, out) -> int:
     """One head run per value of the comma-separated ``values``; exit 3 if any diverged.
 
     Each CSV row holds its grid point's config, results and wall time.
-    Every value is parsed, and every grid point's config and head spec is
-    built, before any head is solved, so an invalid value fails before the
-    first descent.
+    Every value is parsed, and every grid point's config is built (which
+    checks its head spec, see ``RunConfig``), before any head is solved, so
+    an invalid value fails before the first descent.
     """
     grid = _parse_sweep_values(param, values)
     configs = [_sweep_config(config, param, value, index) for index, value in enumerate(grid)]
-    specs = [cfg.head_spec(0) for cfg in configs]
     header = [column for column, _ in _config_cells(config)]
     rows = [header + ["converged", "iters", "final_grad_norm", "wall_time_ms"]]
     diverged = False
-    for cfg, spec in zip(configs, specs):
+    for cfg in configs:
         x, w = generate_inputs(cfg)
         start = time.perf_counter()
-        trace = run_head(x, w, spec).trace
+        trace = run_head(x, w, cfg.head_spec(0)).trace
         wall_ms = format((time.perf_counter() - start) * 1e3, ".3f")
         diverged = diverged or trace.diverged
         cells = [cell for _, cell in _config_cells(cfg)]

@@ -8,11 +8,12 @@ dynamics observable, except for a degree-1 head (F(u) = u, the linear
 form): it draws no noise and so returns AV itself after zero iterations,
 the standard attention output.
 
-``run_head`` is the one entry point from tokens and weights: it builds the
-head's context and calls ``solve_head``, which does the work from a built
-context. An output holds Z and its trace; a caller that needs A, V or AV, or
-that shares one context among heads (as ``run`` does), builds the context and
-calls ``solve_head``. A context's cached values live as long as the context.
+``run_head`` is the one entry point from tokens and weights: it checks d,
+d_k and d_v against the weights, then builds the context and calls
+``solve_head``, which works from a built context and checks only d_v. An
+output holds Z and its trace; a caller that needs A, V or AV, or shares one
+context among heads (as ``run`` does), calls ``solve_head`` itself. A
+context's cached values live as long as the context.
 """
 
 from __future__ import annotations
@@ -53,18 +54,16 @@ class HeadSpec:
 def solve_head(ctx: AttentionContext, spec: HeadSpec) -> HeadOutput:
     """Descend from Z0 = AV (+ seeded noise) on a built context; returns ``descend``'s output.
 
+    Of the spec's dimensions only d_v is checked: a context has no d or d_k.
     A degree-1 head draws no noise, so it returns AV after zero
     iterations. Heads that read the same tokens through the same weights
     can share one context, and with it any B it caches.
     """
-    if ctx.d_k != spec.d_k or ctx.d_v != spec.d_v:
-        raise ShapeError(
-            f"context (d_k={ctx.d_k}, d_v={ctx.d_v}) does not match head spec "
-            f"(d_k={spec.d_k}, d_v={spec.d_v})"
-        )
+    if ctx.d_v != spec.d_v:
+        raise ShapeError(f"context d_v={ctx.d_v} does not match head spec d_v={spec.d_v}")
     z0 = ctx.av
     if spec.perturb_sigma > 0.0 and spec.form.degree != 1:
-        noise = GaussianStream(spec.perturb_seed).matrix(ctx.n, spec.d_v)
+        noise = GaussianStream(spec.perturb_seed).matrix(ctx.n, ctx.d_v)
         # a start past the float range stops the descent as diverged
         with np.errstate(over="ignore", invalid="ignore"):
             z0 = ctx.av + spec.perturb_sigma * noise

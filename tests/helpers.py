@@ -31,8 +31,8 @@ def stacked(energy_fn):
 
 
 def context(a, v, av=None):
-    """A hand-built context over A and V whose AV is ``av``, a @ v unless given; d_k is unused."""
-    return ea.AttentionContext(d_k=1, v=v, a=a, av=a @ v if av is None else av)
+    """A hand-built context over A and V whose AV is ``av``, a @ v unless given."""
+    return ea.AttentionContext(v=v, a=a, av=a @ v if av is None else av)
 
 
 def offset_context(seed=7, n=6, d_v=2, offset=0.5):

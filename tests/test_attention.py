@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,8 @@ def test_context_dataclass_accessors():
     x, w = gaussian_head_inputs(9, 3, 8, 5, 2)
     ctx = build_context(x, w)
     assert isinstance(ctx, AttentionContext)
-    assert ctx.n == 3 and ctx.d_k == 5 and ctx.d_v == 2
+    assert ctx.n == 3 and ctx.d_v == 2
+    # A and V fix the head's energy; d_k is a property of the weights only
+    assert [f.name for f in dataclasses.fields(AttentionContext)] == ["v", "a", "av"]
     # the head reads Q and K only through A
     assert not hasattr(ctx, "q") and not hasattr(ctx, "k")

@@ -750,6 +750,63 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
 
 
+class TestRefusals:
+    """A usage error exits 2 with one ``error:`` line of its own message and writes no output."""
+
+    def assert_refused(self, capsys, out, argv, message):
+        capsys.readouterr()
+        assert run_cli(*argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    def run_argv(self, cfg, in_dir, out):
+        return ["run", "--config", str(cfg), "--in", str(in_dir), "--out", str(out)]
+
+    @pytest.mark.parametrize(
+        "form, message",
+        [
+            ("quadratic", 'form must be an object like {"kind": "quadratic"}'),
+            ({"kind": "quadratic", "degree": 2}, "unknown form keys: ['degree']"),
+        ],
+    )
+    def test_malformed_form(self, tmp_path, capsys, form, message):
+        cfg = write_config(tmp_path, form=form)
+        out = tmp_path / "r.json"
+        self.assert_refused(capsys, out, self.run_argv(cfg, tmp_path, out), message)
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[]")
+        out = tmp_path / "r.json"
+        self.assert_refused(capsys, out, self.run_argv(cfg, tmp_path, out), "config must be a JSON object")
+
+    def test_matrix_file_with_another_name(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        data = tmp_path / "data"
+        run_cli("gen", "--config", str(cfg), "--out", str(data))
+        path = data / "W_k.json"
+        # W_q has W_k's shape, so only the name is at fault
+        path.write_text(json.dumps({**json.loads(path.read_text()), "name": "W_q"}))
+        out = tmp_path / "r.json"
+        message = "W_k.json: expected matrix 'W_k', found 'W_q'"
+        self.assert_refused(capsys, out, self.run_argv(cfg, data, out), message)
+
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("eta", ",", "sweep values must be a non-empty comma-separated list"),
+            ("t_max", "5,x", "bad sweep value for 't_max': invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_unparsable_sweep_values(self, tmp_path, capsys, param, values, message):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--config", str(cfg), "--param", param, "--values", values, "--out", str(out)]
+        self.assert_refused(capsys, out, argv, message)
+
+
 def test_module_entry_point_runs(tmp_path):
     cfg = write_config(tmp_path)
     # the child imports the same package as this process, installed or not

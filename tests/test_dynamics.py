@@ -29,7 +29,7 @@ def hand_context():
     """Identity attention over two tokens with value column (1, 2)."""
     v = np.array([[1.0], [2.0]])
     a = np.eye(2)
-    return ea.AttentionContext(d_k=2, v=v, a=a, av=a @ v)
+    return ea.AttentionContext(v=v, a=a, av=a @ v)
 
 
 @pytest.mark.parametrize("form", [QUADRATIC] + [polynomial(p) for p in range(1, 9)])

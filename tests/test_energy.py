@@ -165,6 +165,10 @@ class TestAlignmentScores:
         with pytest.raises(ea.ShapeError):
             alignment_scores(I2, np.zeros((3, 1, 2)), V12)
 
+    def test_attention_weights_must_be_square(self):
+        with pytest.raises(ea.ShapeError, match=r"^attention weights must be square, got \(3, 2\)$"):
+            alignment_scores(np.full((3, 2), 0.5), np.zeros((3, 1)), np.ones((3, 1)))
+
 
 class TestRegCoeffs:
     def test_identity_attention(self):
@@ -205,6 +209,12 @@ class TestLinearFunctional:
         v = np.zeros((2, 1))
         assert linear_energy(z, I2 @ v) == 0.0
         np.testing.assert_array_equal(z - I2 @ v, np.zeros((2, 1)))
+
+    def test_state_must_match_the_attention_output(self):
+        # (3, 2) * (3, 1) would broadcast to a wrong energy without the check
+        message = r"^state \(3, 2\) must match the attention output shape \(3, 1\)$"
+        with pytest.raises(ea.ShapeError, match=message):
+            linear_energy(np.ones((3, 2)), np.ones((3, 1)))
 
     def test_a_stack_of_states_gives_each_state_its_energy(self):
         rng = np.random.default_rng(8)

@@ -71,11 +71,11 @@ def test_cost_scaling_fits_two_sizes():
 
 
 def test_cost_scaling_refuses_budgets_on_both_sides_of_the_threshold():
-    # at n = 256, d_v = 4 the threshold is 256 / 14 = 18.3 steps: 5 steps
-    # never form B and 25 do
+    # at n = 256, d_v = 4 the first budget that forms B is 19 steps
+    # (19 * 14 >= 256 > 18 * 14): 5 steps never form B and 25 do
     proc = run_cost_scaling("--sizes", "256", "--iters", "5,25")
     assert proc.returncode == 2
-    assert "18.3" in proc.stderr
+    assert "both below or both at least 19, the first budget that forms B" in proc.stderr
 
 
 def test_cost_scaling_refuses_a_fit_from_one_size():

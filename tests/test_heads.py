@@ -218,9 +218,26 @@ class TestSolveHead:
     def test_context_must_match_spec(self):
         x, w = gaussian_head_inputs(8, 5, 8, 2, 3)
         ctx = ea.build_context(x, w)
-        for d_k, d_v in ((2, 1), (3, 3)):
-            with pytest.raises(ShapeError):
+        for d_k, d_v in ((2, 1), (3, 4)):
+            message = f"^context d_v=3 does not match head spec d_v={d_v}$"
+            with pytest.raises(ShapeError, match=message):
                 solve_head(ctx, HeadSpec(d=8, d_k=d_k, d_v=d_v, form=LINEAR))
+
+    @pytest.mark.parametrize("form", [LINEAR, QUADRATIC, polynomial(3), EXPONENTIAL])
+    def test_spec_d_and_d_k_do_not_reach_the_solve(self, form):
+        # a context carries no d or d_k, so solve_head reads neither
+        x, w = gaussian_head_inputs(8, 5, 8, 2, 3)
+        ctx = ea.build_context(x, w)
+        spec = HeadSpec(
+            d=8, d_k=2, d_v=3, form=form,
+            descent=ea.DescentConfig(eta=0.1, max_iters=20),
+            perturb_sigma=0.1, perturb_seed=1,
+        )
+        out = solve_head(ctx, spec)
+        other = solve_head(ctx, replace(spec, d=5, d_k=7))
+        assert (out.trace.iters > 0) == (form != LINEAR)
+        assert other.z.tobytes() == out.z.tobytes()
+        assert repr(other.trace) == repr(out.trace)
 
 
 class TestHeadSpec:

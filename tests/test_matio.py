@@ -23,6 +23,13 @@ class TestAsMatrix:
         assert src[0, 0] == 1.0
 
 
+def test_empty_matrix_is_refused_before_the_file_is_written(tmp_path):
+    path = tmp_path / "m.json"
+    with pytest.raises(ShapeError, match=r"^X must have positive dimensions, got \(0, 3\)$"):
+        save_matrix(path, "X", np.zeros((0, 3)))
+    assert not path.exists()
+
+
 def test_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     m = rng.normal(size=(3, 4)) * np.exp(rng.normal(size=(3, 4)) * 5)

@@ -333,6 +333,11 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             bruteforce_energy(QUADRATIC, np.eye(n), np.zeros((n, 1)), np.zeros((n, 1)))
 
+    def test_inconsistent_shapes_rejected(self):
+        message = r"^inconsistent shapes a=\(3, 3\), z=\(3, 2\), v=\(3, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            bruteforce_energy(QUADRATIC, np.eye(3), np.ones((3, 2)), np.ones((3, 1)))
+
     @pytest.mark.parametrize("trial", [*range(100), *PAST_THE_FLOAT_RANGE])
     def test_fast_path_matches_oracle(self, trial):
         if trial in PAST_THE_FLOAT_RANGE:
